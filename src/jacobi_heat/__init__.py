@@ -20,16 +20,12 @@ from .coefficients import (
     solve_coefficients,
 )
 from .heat_kernel import (
-    DensityQuery1,
-    DensityQuery2,
     Truncation,
     TruncationWarning,
     auto_truncation,
     auto_truncation_2d,
     chapman_kolmogorov_check,
-    density_1d,
     density_1d_values,
-    density_2d,
     density_2d_values,
     eigen_transform_check,
 )
@@ -37,11 +33,9 @@ from .operators import (
     face_derivative_identity,
     generalized_jacobi_op,
     heat_residual_1d,
-    jacobi_op_1d,
-    script_l_1d,
     script_l_k,
 )
-from .polynomials import Polynomial1D, SimplexPolynomial
+from .polynomials import SimplexPolynomial
 from .quadrature import QuadratureRule, SimplexRule2, gauss_jacobi_rule, integrate, simplex_rule_2
 from .sde import PathEnsemble, SdeConfig, density_ks_check, generator_moment_check, simulate
 from .simplex_jacobi import (

@@ -23,15 +23,11 @@ from .special import eigenvalue, jacobi_table
 __all__ = [
     "Truncation",
     "TruncationWarning",
-    "DensityQuery1",
-    "DensityQuery2",
     "auto_truncation",
     "auto_truncation_2d",
     "kernel_series_1d",
     "kernel_series_2d",
-    "density_1d",
     "density_1d_values",
-    "density_2d",
     "density_2d_values",
     "eigen_transform_check",
     "chapman_kolmogorov_check",
@@ -57,43 +53,6 @@ class Truncation:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.tol <= 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-
-
-@dataclass(frozen=True)
-class DensityQuery1:
-    """Evaluation request for the 1-D density; t = 0 (a Dirac mass) is refused."""
-
-    t: float
-    c: float
-    u: float
-    N: int
-
-    def __post_init__(self):
-        if self.t <= 0.0:
-            raise ValueError("t must be positive (t = 0 is a Dirac mass)")
-        if not (0.0 <= self.c <= 1.0 and 0.0 <= self.u <= 1.0):
-            raise ValueError("c and u must lie in [0, 1]")
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-
-
-@dataclass(frozen=True)
-class DensityQuery2:
-    """Evaluation request for the 2-D density on the closed 2-simplex."""
-
-    t: float
-    c: tuple
-    u: tuple
-    N: int
-
-    def __post_init__(self):
-        if self.t <= 0.0:
-            raise ValueError("t must be positive (t = 0 is a Dirac mass)")
-        if self.N < 3:
-            raise ValueError(f"N must be >= 3, got {self.N}")
-        for name, (a, b) in (("c", self.c), ("u", self.u)):
-            if a < -1e-12 or b < -1e-12 or a + b > 1.0 + 1e-12:
-                raise ValueError(f"{name} = ({a}, {b}) outside the closed 2-simplex")
 
 
 def _term_bound_1d(n, t, N):
@@ -139,6 +98,9 @@ def _auto_truncation(t, N, tol, term_bound):
                 f"t = {t} too small: truncation would exceed {MAX_MODES} modes"
             )
         bounds.append(term_bound(n, t, N))
+        if not math.isfinite(bounds[n]):
+            # an overflowed bound stays non-finite, so the stopping test could never fire
+            raise ValueError(f"t = {t} too small: the tail bound overflows at mode {n}")
         if n >= 2 and bounds[n] < bounds[n - 1] and bounds[n] < tol * 1e-6:
             break
     # geometric remainder for everything past the scan
@@ -212,16 +174,25 @@ def _check_last_term(last_term_max, tr, t, N):
         )
 
 
+def _require_time_and_dimension(t, N, N_min):
+    if not t > 0.0:
+        raise ValueError(f"t must be positive (t = 0 is a Dirac mass), got {t}")
+    if N < N_min:
+        raise ValueError(f"N must be >= {N_min}, got {N}")
+
+
 def density_1d_values(t, c, u, N, tr):
-    """Vectorized 1-D density f_t(c, u) including the (1-u)^{N-2} weight."""
+    """Vectorized 1-D density f_t(c, u) including the (1-u)^{N-2} weight.
+
+    Refuses t <= 0, N < 2, and c or any u outside [0, 1].
+    """
+    _require_time_and_dimension(t, N, 2)
+    u_arr = np.asarray(u, dtype=float)
+    if not (0.0 <= c <= 1.0 and np.all((u_arr >= 0.0) & (u_arr <= 1.0))):
+        raise ValueError("c and u must lie in [0, 1]")
     series, last = kernel_series_1d(t, c, u, N, tr.n_max)
     _check_last_term(last, tr, t, N)
-    return series * (1.0 - np.asarray(u, dtype=float)) ** (N - 2)
-
-
-def density_1d(q, tr):
-    """Density of the first squared coordinate at time t, started from c."""
-    return float(density_1d_values(q.t, q.c, q.u, q.N, tr))
+    return series * (1.0 - u_arr) ** (N - 2)
 
 
 def kernel_series_2d(t, c, pts, N, n_max):
@@ -277,18 +248,26 @@ def kernel_series_2d(t, c, pts, N, n_max):
     return total + comp, float(np.max(np.abs(shell)))
 
 
+def _in_closed_simplex(p):
+    slack = 1e-12
+    return (p[..., 0] >= -slack) & (p[..., 1] >= -slack) & (p[..., 0] + p[..., 1] <= 1.0 + slack)
+
+
 def density_2d_values(t, c, pts, N, tr):
-    """Vectorized 2-D density including the (1-u1-u2)^{N-3} weight."""
+    """Vectorized 2-D density including the (1-u1-u2)^{N-3} weight.
+
+    Refuses t <= 0, N < 3, and c or any point outside the closed 2-simplex.
+    """
+    _require_time_and_dimension(t, N, 3)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not _in_closed_simplex(np.asarray(c, dtype=float)):
+        raise ValueError(f"c = {tuple(c)} outside the closed 2-simplex")
+    if not np.all(_in_closed_simplex(pts)):
+        raise ValueError("every point u must lie in the closed 2-simplex")
     series, last = kernel_series_2d(t, c, pts, N, tr.n_max)
     _check_last_term(last, tr, t, N)
     s2 = np.clip(1.0 - pts[:, 0] - pts[:, 1], 0.0, None) ** (N - 3)
     return series * s2
-
-
-def density_2d(q, tr):
-    """Joint density of the first two squared coordinates at time t."""
-    return float(density_2d_values(q.t, q.c, np.array([q.u]), q.N, tr)[0])
 
 
 def eigen_transform_check(n, t, c, N):

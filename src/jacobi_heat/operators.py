@@ -1,57 +1,26 @@
 """Exact application of the simplex diffusion generators to polynomials.
 
-Covers the one-dimensional operator u(1-u) d^2 + (1-Nu) d, its
-integration-by-parts companion L = u(1-u) d^2 + (1+(N-4)u) d + (N-2) that
-annihilates the Dirichlet weight, and their k-variable generalizations.
-All operators act on exact coefficient representations, so the identities
-they satisfy can be asserted coefficient-wise.
+Covers the generalized Jacobi operator on the k-simplex and its
+integration-by-parts companion, which annihilates the Dirichlet weight
+(1 - u_1 - ... - u_k)^{N-k-1}.  For k = 1 they are u(1-u) d^2 + (1-Nu) d and
+u(1-u) d^2 + (1+(N-4)u) d + (N-2).  All operators act on exact coefficient
+representations, so the identities they satisfy can be asserted
+coefficient-wise.
 """
 
 import numpy as np
 
 from .heat_kernel import kernel_series_1d
-from .polynomials import Polynomial1D, SimplexPolynomial
+from .polynomials import SimplexPolynomial
 from .special import eigenvalue
 
 __all__ = [
-    "jacobi_op_1d",
-    "script_l_1d",
     "generalized_jacobi_op",
     "script_l_k",
     "heat_residual_1d",
     "face_derivative_identity",
     "operator_matrix",
 ]
-
-
-def _as_poly1d(g):
-    return g if isinstance(g, Polynomial1D) else Polynomial1D(g)
-
-
-def jacobi_op_1d(g, N):
-    """Apply u(1-u) g'' + (1-Nu) g'; the degree-n eigenvalue is -n(n+N-1)."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    g = _as_poly1d(g)
-    d1 = g.deriv()
-    d2 = d1.deriv()
-    u = Polynomial1D([0.0, 1.0])
-    return u * (1.0 - u) * d2 + (1.0 - float(N) * u) * d1
-
-
-def script_l_1d(f, N):
-    """Apply u(1-u) f'' + (1+(N-4)u) f' + (N-2) f.
-
-    This operator annihilates the weight (1-u)^{N-2} and conjugates to
-    jacobi_op_1d through it.
-    """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    f = _as_poly1d(f)
-    d1 = f.deriv()
-    d2 = d1.deriv()
-    u = Polynomial1D([0.0, 1.0])
-    return u * (1.0 - u) * d2 + (1.0 + (N - 4.0) * u) * d1 + (N - 2.0) * f
 
 
 def generalized_jacobi_op(g, N):

@@ -1,75 +1,20 @@
-"""Exact coefficient-level polynomial arithmetic in one and several variables.
+"""Exact coefficient-level polynomial arithmetic in k >= 1 variables.
 
-One-dimensional polynomials are plain numpy coefficient arrays in the
-monomial basis (ascending degree).  SimplexPolynomial stores a k-variate
-polynomial as a map from exponent tuples to coefficients, which keeps the
-differential-operator algebra exact up to double-precision rounding.
+SimplexPolynomial stores a k-variate polynomial as a map from exponent tuples
+to coefficients, which keeps the differential-operator algebra exact up to
+double-precision rounding; k = 1 is the univariate case.  The Jacobi
+coefficient expansions are plain numpy arrays in the monomial basis
+(ascending degree).
 """
 
 import numpy as np
 
 __all__ = [
-    "Polynomial1D",
     "SimplexPolynomial",
     "jacobi_coeffs",
     "jacobi_shifted_coeffs",
     "dirichlet_weight_poly",
 ]
-
-
-class Polynomial1D:
-    """Univariate polynomial; coeffs[i] multiplies u^i."""
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        # normalize: strip trailing zeros so degree is well defined
-        nz = np.nonzero(c)[0]
-        self.coeffs = c[: nz[-1] + 1] if nz.size else np.zeros(1)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, u):
-        return np.polynomial.polynomial.polyval(u, self.coeffs)
-
-    def deriv(self):
-        return Polynomial1D(np.polynomial.polynomial.polyder(self.coeffs))
-
-    def integ(self):
-        return Polynomial1D(np.polynomial.polynomial.polyint(self.coeffs))
-
-    def _coerce(self, other):
-        return other if isinstance(other, Polynomial1D) else Polynomial1D([other])
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n)
-        c[: len(self.coeffs)] += self.coeffs
-        c[: len(other.coeffs)] += other.coeffs
-        return Polynomial1D(c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (self._coerce(other) * -1.0)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial1D):
-            return Polynomial1D(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial1D(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def max_abs_coeff(self):
-        return float(np.max(np.abs(self.coeffs)))
-
-    def __repr__(self):
-        return f"Polynomial1D({self.coeffs.tolist()})"
 
 
 class SimplexPolynomial:

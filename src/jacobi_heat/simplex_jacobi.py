@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomials import SimplexPolynomial, jacobi_coeffs, jacobi_shifted_coeffs
-from .special import jacobi_p, jacobi_p_one, pochhammer
+from .special import jacobi_p, pochhammer
 
 __all__ = [
     "SimplexIndex",
@@ -95,25 +95,12 @@ def simplex_q(idx, N, p):
 def simplex_q_norm_sq(idx, N):
     """Squared L2 norm of Q_{n-j,j} against the 2-simplex Dirichlet weight.
 
-    Returns 1/((2n+N-1)(2j+N-2)) after asserting that it agrees with the
-    equivalent expression through the coupling coefficient c_{j,j}(n, N).
+    Returns 1/((2n+N-1)(2j+N-2)).
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
     n, j = _as_index(idx)
-    closed = 1.0 / ((2 * n + N - 1) * (2 * j + N - 2))
-    via_coupling = (jacobi_p_one(n - j, N - 2.0 + 2 * j) * jacobi_p_one(j, N - 3.0)) ** 2 / (
-        (N - 2)
-        * (2 * n + N - 1)
-        * jacobi_p_one(n, N - 2.0) ** 2
-        * koornwinder_c(j, j, n, N)
-    )
-    if abs(closed - via_coupling) > 1e-10 * closed:
-        raise AssertionError(
-            f"norm expressions disagree for (n={n}, j={j}, N={N}): "
-            f"{closed} vs {via_coupling}"
-        )
-    return closed
+    return 1.0 / ((2 * n + N - 1) * (2 * j + N - 2))
 
 
 def koornwinder_c(j, q, n, N):

@@ -33,12 +33,10 @@ from .operators import (
     face_derivative_identity,
     generalized_jacobi_op,
     heat_residual_1d,
-    jacobi_op_1d,
     operator_matrix,
-    script_l_1d,
     script_l_k,
 )
-from .polynomials import Polynomial1D, SimplexPolynomial, dirichlet_weight_poly
+from .polynomials import SimplexPolynomial, dirichlet_weight_poly
 from .quadrature import gauss_jacobi_rule, simplex_rule_2
 from .sde import SdeConfig, density_ks_check, simulate
 from .simplex_jacobi import simplex_q_polynomial
@@ -178,20 +176,17 @@ def check_density_1d():
 
     worst = 0.0
     grid = np.linspace(0.0, 1.0, 9)
-    for N in (3, 5):
+    for N in (3, 5, 10):
         for t in (0.2, 1.0):
             tr = auto_truncation(t, N, 1e-12)
-            for c in grid:
-                fa = density_1d_values(t, c, grid, N, tr) * (1.0 - c) ** (N - 2)
-                fb = (
-                    np.array([density_1d_values(t, u, c, N, tr) for u in grid])
-                    * (1.0 - grid) ** (N - 2)
-                )
-                for a, b in zip(fa, fb):
-                    worst = max(worst, _rel(a, b))
+            # w[i] f_t(grid[i], grid[j]) must be symmetric in (i, j)
+            wf = np.array([density_1d_values(t, c, grid, N, tr) for c in grid])
+            wf *= ((1.0 - grid) ** (N - 2))[:, None]
+            for a, b in zip(wf.ravel(), wf.T.ravel()):
+                worst = max(worst, _rel(a, b))
     yield _check(
         "density1d.reversibility_symmetry",
-        {"N": [3, 5], "t": [0.2, 1.0], "grid": 9},
+        {"N": [3, 5, 10], "t": [0.2, 1.0], "grid": 9},
         worst,
         1e-11,
     )
@@ -213,45 +208,48 @@ def check_density_2d():
         1e-10,
     )
 
-    worst = 0.0
+    # u2-marginals at t = 0.2 must equal the 1-D density and ignore c2; N = 4
+    # at t = 0.3 adds a second time for the c2 spread
+    t, c1, c2_grid, u1_grid = 0.2, 0.3, (0.1, 0.3, 0.55), (0.15, 0.4, 0.7)
+    worst = worst_c2 = 0.0
     for N in N_GRID_2D:
         inner = gauss_jacobi_rule(48, N - 3.0, 0.0)
-        t, c = 0.2, (0.3, 0.25)
         tr2 = auto_truncation_2d(t, N, 1e-12)
-        tr1 = auto_truncation(t, N, 1e-12)
-        for u1 in (0.15, 0.4, 0.7):
-            pts = np.column_stack([np.full(len(inner), u1), (1.0 - u1) * inner.nodes])
-            series, _ = kernel_series_2d(t, c, pts, N, tr2.n_max)
-            marginal = (1.0 - u1) ** (N - 2) * float(np.dot(inner.weights, series))
-            f1 = float(density_1d_values(t, c[0], u1, N, tr1))
-            worst = max(worst, abs(marginal - f1))
+        f1 = density_1d_values(t, c1, np.array(u1_grid), N, auto_truncation(t, N, 1e-12))
+        m = np.array(
+            [_u2_marginals(t, (c1, c2), u1_grid, N, inner, tr2.n_max) for c2 in (0.25, *c2_grid)]
+        )
+        worst = max(worst, float(np.max(np.abs(m - f1))))
+        worst_c2 = max(worst_c2, float(np.max(np.ptp(m[1:], axis=0))))
     yield _check(
         "density2d.marginal_matches_1d",
-        {"N": list(N_GRID_2D), "t": 0.2, "c": [0.3, 0.25], "u1": [0.15, 0.4, 0.7]},
+        {
+            "N": list(N_GRID_2D),
+            "t": t,
+            "c": [c1, 0.25],
+            "u1": list(u1_grid),
+            "also": {"c": [[c1, c2] for c2 in c2_grid]},
+        },
         worst,
         1e-8,
     )
 
-    worst = 0.0
-    N, t, c1 = 4, 0.3, 0.3
+    N, t = 4, 0.3
     inner = gauss_jacobi_rule(48, N - 3.0, 0.0)
     tr2 = auto_truncation_2d(t, N, 1e-12)
-    reference = None
-    for c2 in (0.1, 0.3, 0.55):
-        vals = []
-        for u1 in np.linspace(0.1, 0.8, 5):
-            pts = np.column_stack([np.full(len(inner), u1), (1.0 - u1) * inner.nodes])
-            series, _ = kernel_series_2d(t, (c1, c2), pts, N, tr2.n_max)
-            vals.append((1.0 - u1) ** (N - 2) * float(np.dot(inner.weights, series)))
-        vals = np.array(vals)
-        if reference is None:
-            reference = vals
-        else:
-            worst = max(worst, float(np.max(np.abs(vals - reference))))
+    u1s = np.linspace(0.1, 0.8, 5)
+    m = np.array([_u2_marginals(t, (c1, c2), u1s, N, inner, tr2.n_max) for c2 in c2_grid])
+    worst_c2 = max(worst_c2, float(np.max(np.ptp(m, axis=0))))
     yield _check(
         "density2d.marginal_independent_of_c2",
-        {"N": N, "t": t, "c1": c1, "c2": [0.1, 0.3, 0.55]},
-        worst,
+        {
+            "N": N,
+            "t": t,
+            "c1": c1,
+            "c2": list(c2_grid),
+            "also": {"N": list(N_GRID_2D), "t": 0.2, "u1": list(u1_grid)},
+        },
+        worst_c2,
         1e-8,
     )
 
@@ -272,38 +270,27 @@ def check_density_2d():
 
 
 def check_operators():
+    pairs = ((1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 6))
     worst = 0.0
-    for k, N in ((1, 3), (2, 4), (2, 5), (3, 6)):
-        sk = dirichlet_weight_poly(k, N)
-        worst = max(worst, script_l_k(sk, N).max_abs_coeff())
-        s1 = Polynomial1D(np.polynomial.polynomial.polypow([1.0, -1.0], N - 2))
-        worst = max(worst, script_l_1d(s1, N).max_abs_coeff())
+    for k, N in pairs:
+        worst = max(worst, script_l_k(dirichlet_weight_poly(k, N), N).max_abs_coeff())
     yield _check(
-        "operators.weight_annihilation",
-        {"(k,N)": [[1, 3], [2, 4], [2, 5], [3, 6]]},
-        worst,
-        1e-13,
+        "operators.weight_annihilation", {"(k,N)": [list(p) for p in pairs]}, worst, 1e-13
     )
 
     worst = 0.0
     rng = np.random.default_rng(7)
-    for k, N in ((1, 3), (2, 4), (3, 6)):
+    for k, N in pairs:
         sk = dirichlet_weight_poly(k, N)
         for _ in range(3):
-            g = _random_simplex_poly(rng, k, degree=3)
+            g = _random_simplex_poly(rng, k, degree=5 if k == 1 else 3)
             lhs = script_l_k(g * sk, N)
             rhs = sk * generalized_jacobi_op(g, N)
             scale = max(1.0, lhs.max_abs_coeff())
             worst = max(worst, lhs.max_abs_diff(rhs) / scale)
-        g1 = Polynomial1D(rng.standard_normal(5))
-        s1 = Polynomial1D(np.polynomial.polynomial.polypow([1.0, -1.0], N - 2))
-        lhs1 = script_l_1d(g1 * s1, N)
-        rhs1 = s1 * jacobi_op_1d(g1, N)
-        scale = max(1.0, lhs1.max_abs_coeff())
-        worst = max(worst, (lhs1 - rhs1).max_abs_coeff() / scale)
     yield _check(
         "operators.conjugation_identities",
-        {"(k,N)": [[1, 3], [2, 4], [3, 6]], "degree": 3},
+        {"(k,N)": [list(p) for p in pairs], "degree": 3, "degree_k1": 5},
         worst,
         1e-13,
     )
@@ -352,7 +339,8 @@ def check_face_identity():
     rng = np.random.default_rng(11)
     failures = 0
     trials = 0
-    for k, N in ((2, 4), (2, 5), (3, 5), (3, 6)):
+    pairs = ((2, 4), (2, 5), (3, 5), (2, 6), (3, 6))
+    for k, N in pairs:
         sk = dirichlet_weight_poly(k, N)
         for _ in range(10):
             g = _random_simplex_poly(rng, k, degree=3)
@@ -365,7 +353,7 @@ def check_face_identity():
         failures += 1
     yield _check(
         "operators.face_derivative_dichotomy",
-        {"(k,N)": [[2, 4], [2, 5], [3, 5], [3, 6]], "random_g": 10, "witness": [2, 3]},
+        {"(k,N)": [list(p) for p in pairs], "random_g": 10, "witness": [2, 3]},
         failures,
         0.0,
     )
@@ -474,6 +462,14 @@ def check_monte_carlo(tier, seed):
         worst,
         1.0,
     )
+
+
+def _u2_marginals(t, c, u1s, N, inner, n_max):
+    """Integrals over u2 of the 2-D density at each u1 in u1s, by the Gauss-Jacobi rule `inner`."""
+    u1 = np.repeat(u1s, len(inner.nodes))
+    pts = np.column_stack([u1, (1.0 - u1) * np.tile(inner.nodes, len(u1s))])
+    series, _ = kernel_series_2d(t, c, pts, N, n_max)
+    return (1.0 - np.asarray(u1s)) ** (N - 2) * (series.reshape(len(u1s), -1) @ inner.weights)
 
 
 def _random_simplex_poly(rng, k, degree):

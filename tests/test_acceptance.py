@@ -1,49 +1,20 @@
-"""Acceptance suite: one test per release criterion, each printing a verdict line.
+"""Acceptance suite: one test per release criterion, each printing verdict lines.
 
-Criteria 1-8 are deterministic identity checks at desk scale; criteria 9-10
-drive the full-tier Monte Carlo validation through the CLI (two concurrent
-runs, which also yields the byte-identical-report determinism check).
+Criteria 1-8 run the deterministic check groups of the `validate` registry,
+one group per criterion, within a time budget; criteria 9-10 drive the
+full-tier Monte Carlo validation through the CLI (two concurrent runs, which
+also yields the byte-identical-report determinism check).
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from jacobi_heat.coefficients import (
-    closed_form_coefficient,
-    inversion_term_identity,
-    laplace_series,
-    neumann_identity_residual,
-    solve_coefficients,
-)
-from jacobi_heat.heat_kernel import (
-    auto_truncation,
-    auto_truncation_2d,
-    chapman_kolmogorov_check,
-    density_1d_values,
-    eigen_transform_check,
-    kernel_series_1d,
-    kernel_series_2d,
-)
-from jacobi_heat.operators import (
-    face_derivative_identity,
-    generalized_jacobi_op,
-    heat_residual_1d,
-    jacobi_op_1d,
-    operator_matrix,
-    script_l_1d,
-    script_l_k,
-)
-from jacobi_heat.polynomials import Polynomial1D, SimplexPolynomial, dirichlet_weight_poly
-from jacobi_heat.quadrature import gauss_jacobi_rule, simplex_rule_2
-from jacobi_heat.simplex_jacobi import simplex_q_polynomial
-from jacobi_heat.special import eigenvalue, jacobi_p, pochhammer
+from jacobi_heat import validate
 
 
 def report(number, label, measured, tolerance, elapsed, extra=""):
@@ -56,258 +27,52 @@ def report(number, label, measured, tolerance, elapsed, extra=""):
     return ok
 
 
-def relerr(a, b):
-    m = max(abs(a), abs(b))
-    return 0.0 if m == 0.0 else abs(a - b) / m
+def run_group(number, group, budget_s):
+    """Run one `validate` check group, printing a verdict line per check."""
+    start = time.perf_counter()
+    failed = []
+    for check in group:
+        elapsed = time.perf_counter() - start
+        report(number, check["check_name"], check["measured"], check["tolerance"], elapsed)
+        if not check["pass"]:
+            failed.append(check["check_name"])
+    elapsed = time.perf_counter() - start
+    assert not failed, f"failed checks: {failed}"
+    assert elapsed < budget_s, f"criterion {number} took {elapsed:.2f} s of {budget_s} s"
 
 
 def test_criterion_1_coefficient_theorem():
-    start = time.perf_counter()
-    worst = 0.0
-    for N in (2, 3, 5, 8):
-        for c in (0.0, 0.25, 0.5, 0.75, 1.0):
-            table = solve_coefficients(c, N, 25)
-            for n in range(26):
-                worst = max(worst, relerr(table.a[n], closed_form_coefficient(c, N, n)))
-    worst_end = 0.0
-    for N in (2, 3, 5, 8):
-        t0 = solve_coefficients(0.0, N, 25)
-        t1 = solve_coefficients(1.0, N, 25)
-        for n in range(26):
-            worst_end = max(worst_end, relerr(t0.a[n], (-1.0) ** n / pochhammer(N + n - 1.0, n)))
-            worst_end = max(
-                worst_end,
-                relerr(
-                    t1.a[n],
-                    pochhammer(N - 1.0, n) / (math.factorial(n) * pochhammer(N + n - 1.0, n)),
-                ),
-            )
-    elapsed = time.perf_counter() - start
-    ok = report(1, "coefficient solve equals closed form", worst, 1e-9, elapsed)
-    ok &= report(1, "endpoint coefficient columns", worst_end, 1e-12, elapsed)
-    assert ok and elapsed < 1.0
+    run_group(1, validate.check_coefficients(), 1.0)
 
 
 def test_criterion_2_neumann_identity():
-    start = time.perf_counter()
-    worst = 0.0
-    for N in (2, 4):
-        for c in (0.0, 0.3, 1.0):
-            for x in (0.5, 1.0, 2.0):
-                worst = max(worst, neumann_identity_residual(c, N, x, 30))
-    elapsed = time.perf_counter() - start
-    assert report(2, "Bessel-series identity residual", worst, 1e-12, elapsed)
-    assert elapsed < 1.0
+    run_group(2, validate.check_neumann(), 1.0)
 
 
 def test_criterion_3_density_1d():
-    start = time.perf_counter()
-    worst_norm = 0.0
-    for N in (2, 3, 5, 10):
-        rule = gauss_jacobi_rule(64, N - 2.0, 0.0)
-        for t in (0.05, 0.2, 1.0):
-            tr = auto_truncation(t, N, 1e-12)
-            for c in (0.0, 0.25, 0.5, 0.75, 1.0):
-                series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
-                worst_norm = max(worst_norm, abs(float(np.dot(rule.weights, series)) - 1.0))
-
-    worst_eig = 0.0
-    for N in (2, 3, 5, 10):
-        for t in (0.2, 1.0):
-            for c in (0.25, 0.75):
-                for n in range(7):
-                    lhs = eigen_transform_check(n, t, c, N)
-                    rhs = math.exp(-eigenvalue(n, N) * t) * jacobi_p(
-                        n, (N - 2.0, 0.0), 2.0 * c - 1.0
-                    )
-                    worst_eig = max(worst_eig, abs(lhs - rhs))
-
-    worst_ck = 0.0
-    for N in (2, 3, 5):
-        for t, s in ((0.1, 0.1), (0.25, 0.25), (0.2, 0.5)):
-            for c, u in ((0.2, 0.6), (0.7, 0.3)):
-                lhs, rhs = chapman_kolmogorov_check(t, s, c, u, N)
-                worst_ck = max(worst_ck, abs(lhs - rhs))
-
-    worst_sym = 0.0
-    grid = np.linspace(0.0, 1.0, 9)
-    for N in (3, 5, 10):
-        for t in (0.2, 1.0):
-            tr = auto_truncation(t, N, 1e-12)
-            for c in grid:
-                fa = density_1d_values(t, c, grid, N, tr) * (1.0 - c) ** (N - 2)
-                fb = np.array(
-                    [density_1d_values(t, u, c, N, tr) for u in grid]
-                ) * (1.0 - grid) ** (N - 2)
-                for a, b in zip(fa, fb):
-                    worst_sym = max(worst_sym, relerr(a, b))
-    elapsed = time.perf_counter() - start
-    ok = report(3, "1D normalization", worst_norm, 1e-10, elapsed)
-    ok &= report(3, "1D eigen transform (n <= 6)", worst_eig, 1e-9, elapsed)
-    ok &= report(3, "1D Chapman-Kolmogorov", worst_ck, 1e-8, elapsed)
-    ok &= report(3, "1D weighted symmetry", worst_sym, 1e-11, elapsed)
-    assert ok and elapsed < 10.0
+    run_group(3, validate.check_density_1d(), 10.0)
 
 
 def test_criterion_4_density_2d():
-    start = time.perf_counter()
-    worst_norm = 0.0
-    c_grid = ((0.1, 0.1), (0.5, 0.2), (0.2, 0.5), (0.05, 0.6), (1 / 3, 1 / 3))
-    for N in (3, 4, 6):
-        rule = simplex_rule_2(48, N)
-        for t in (0.05, 0.2, 1.0):
-            tr = auto_truncation_2d(t, N, 1e-12)
-            for c in c_grid:
-                series, _ = kernel_series_2d(t, c, rule.nodes, N, tr.n_max)
-                worst_norm = max(worst_norm, abs(float(np.dot(rule.weights, series)) - 1.0))
-
-    worst_marg = 0.0
-    worst_c2 = 0.0
-    for N in (3, 4, 6):
-        inner = gauss_jacobi_rule(48, N - 3.0, 0.0)
-        t, c1 = 0.2, 0.3
-        tr2 = auto_truncation_2d(t, N, 1e-12)
-        tr1 = auto_truncation(t, N, 1e-12)
-        for u1 in (0.15, 0.4, 0.7):
-            pts = np.column_stack([np.full(len(inner), u1), (1.0 - u1) * inner.nodes])
-            marginals = []
-            for c2 in (0.1, 0.3, 0.55):
-                series, _ = kernel_series_2d(t, (c1, c2), pts, N, tr2.n_max)
-                marginals.append(
-                    (1.0 - u1) ** (N - 2) * float(np.dot(inner.weights, series))
-                )
-            want = float(density_1d_values(t, c1, u1, N, tr1))
-            worst_marg = max(worst_marg, max(abs(m - want) for m in marginals))
-            worst_c2 = max(worst_c2, max(marginals) - min(marginals))
-    elapsed = time.perf_counter() - start
-    ok = report(4, "2D normalization", worst_norm, 1e-10, elapsed)
-    ok &= report(4, "2D marginal equals 1D density", worst_marg, 1e-8, elapsed)
-    ok &= report(4, "2D marginal independent of c2", worst_c2, 1e-8, elapsed)
-    assert ok and elapsed < 30.0
+    run_group(4, validate.check_density_2d(), 30.0)
 
 
 def test_criterion_5_operator_suite():
-    start = time.perf_counter()
-    worst_ann = 0.0
-    for k, N in ((1, 3), (2, 4), (2, 5), (3, 6)):
-        worst_ann = max(worst_ann, script_l_k(dirichlet_weight_poly(k, N), N).max_abs_coeff())
-
-    worst_conj = 0.0
-    rng = np.random.default_rng(2024)
-    for k, N in ((1, 3), (2, 4), (2, 5), (3, 6)):
-        sk = dirichlet_weight_poly(k, N)
-        for _ in range(3):
-            terms = {}
-            for _ in range(4):
-                e = tuple(int(v) for v in rng.integers(0, 3, size=k))
-                if sum(e) <= 4:
-                    terms[e] = float(rng.standard_normal())
-            terms.setdefault((0,) * k, 1.0)
-            g = SimplexPolynomial(terms, k)
-            lhs = script_l_k(g * sk, N)
-            rhs = sk * generalized_jacobi_op(g, N)
-            worst_conj = max(
-                worst_conj, lhs.max_abs_diff(rhs) / max(1.0, lhs.max_abs_coeff())
-            )
-        g1 = Polynomial1D(rng.standard_normal(6))
-        s1 = Polynomial1D(np.polynomial.polynomial.polypow([1.0, -1.0], N - 2))
-        lhs1 = script_l_1d(g1 * s1, N)
-        rhs1 = s1 * jacobi_op_1d(g1, N)
-        worst_conj = max(
-            worst_conj, (lhs1 - rhs1).max_abs_coeff() / max(1.0, lhs1.max_abs_coeff())
-        )
-
-    worst_eig = 0.0
-    for N in (4, 5):
-        for n in range(7):
-            for j in range(n + 1):
-                q = simplex_q_polynomial((n, j), N)
-                image = generalized_jacobi_op(q, N)
-                expected = -float(eigenvalue(n, N)) * q
-                worst_eig = max(
-                    worst_eig, image.max_abs_diff(expected) / max(1.0, q.max_abs_coeff())
-                )
-
-    worst_spec = 0.0
-    mult_ok = True
-    for k in (1, 2):
-        for N in (4, 6):
-            mat, exponents = operator_matrix(generalized_jacobi_op, k, N, 6)
-            eigs = np.sort(np.linalg.eigvals(mat).real)
-            expected = np.sort([-float(eigenvalue(sum(e), N)) for e in exponents])
-            worst_spec = max(worst_spec, float(np.max(np.abs(eigs - expected))))
-            for n in range(7):
-                want = sum(1 for e in exponents if sum(e) == n)
-                got = int(np.sum(np.isclose(eigs, -float(eigenvalue(n, N)), atol=1e-9)))
-                mult_ok &= got == want
-    elapsed = time.perf_counter() - start
-    ok = report(5, "weight annihilation", worst_ann, 1e-13, elapsed)
-    ok &= report(5, "conjugation identities", worst_conj, 1e-13, elapsed)
-    ok &= report(5, "simplex eigenpolynomials (n <= 6)", worst_eig, 1e-11, elapsed)
-    ok &= report(5, "graded spectrum", worst_spec, 1e-9, elapsed, extra=f"multiplicities_ok={mult_ok}")
-    assert ok and mult_ok and elapsed < 5.0
+    # operators.graded_spectrum also fixes the multiplicities: the sorted eigenvalues
+    # match within 1e-9, and distinct eigenvalues n(n+N-1) are at least N apart
+    run_group(5, validate.check_operators(), 5.0)
 
 
 def test_criterion_6_heat_residual():
-    start = time.perf_counter()
-    worst = 0.0
-    grid = np.linspace(0.0, 1.0, 41)
-    for N in (3, 5):
-        for t in (0.2, 0.5):
-            tr = auto_truncation(t, N, 1e-12)
-            for c in (0.3, 0.5):
-                worst = max(worst, heat_residual_1d(t, c, N, tr, grid, dt=1e-4))
-    elapsed = time.perf_counter() - start
-    assert report(6, "heat-equation residual (dt=1e-4)", worst, 1e-6, elapsed)
-    assert elapsed < 5.0
+    run_group(6, validate.check_heat_residual(), 5.0)
 
 
 def test_criterion_7_boundary_dichotomy():
-    start = time.perf_counter()
-    rng = np.random.default_rng(99)
-    failures = 0
-    for k, N in ((2, 4), (3, 5), (2, 6), (3, 6)):
-        sk = dirichlet_weight_poly(k, N)
-        for _ in range(10):
-            terms = {}
-            for _ in range(4):
-                e = tuple(int(v) for v in rng.integers(0, 4, size=k))
-                if sum(e) <= 3:
-                    terms[e] = float(rng.standard_normal())
-            terms.setdefault((0,) * k, 1.0)
-            if not face_derivative_identity(SimplexPolynomial(terms, k) * sk, k, N):
-                failures += 1
-    if face_derivative_identity(SimplexPolynomial.variable(0, 2), 2, 3):
-        failures += 1  # k = N-1 witness must report persisting boundary terms
-    elapsed = time.perf_counter() - start
-    assert report(7, "face-derivative dichotomy failures", failures, 0, elapsed)
-    assert elapsed < 1.0
+    run_group(7, validate.check_face_identity(), 1.0)
 
 
 def test_criterion_8_laplace_transform():
-    start = time.perf_counter()
-    worst = 0.0
-    for N in (3, 5):
-        rule = gauss_jacobi_rule(64, N - 2.0, 0.0)
-        for t in (0.2, 0.5):
-            tr = auto_truncation(t, N, 1e-13)
-            for lam in (-2.0, 0.0, 2.0, 5.0):
-                for c in (0.3, 0.7):
-                    series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
-                    quad = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * series))
-                    worst = max(worst, abs(laplace_series(c, lam, t, N, 60) - quad))
-
-    worst_inv = 0.0
-    for N in (3, 5):
-        for c in (0.3, 0.7):
-            for lam in (-2.0, 1.5, 5.0):
-                for n in range(11):
-                    lhs, rhs = inversion_term_identity(n, c, N, lam)
-                    worst_inv = max(worst_inv, abs(lhs - rhs))
-    elapsed = time.perf_counter() - start
-    ok = report(8, "Laplace series vs quadrature", worst, 1e-8, elapsed)
-    ok &= report(8, "termwise inversion identity (n <= 10)", worst_inv, 1e-10, elapsed)
-    assert ok and elapsed < 5.0
+    run_group(8, validate.check_laplace(), 5.0)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,35 @@ from jacobi_heat.cli import RunManifest, main, run
 from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
 
 
+# the quick-tier registry: every check name and tolerance, in report order
+QUICK_CHECKS = [
+    ("coefficients.solve_vs_closed_form", 1e-09),
+    ("coefficients.endpoint_closed_forms", 1e-12),
+    ("coefficients.neumann_identity", 1e-12),
+    ("density1d.normalization", 1e-10),
+    ("density1d.positivity", 1e-12),
+    ("density1d.eigen_transform", 1e-09),
+    ("density1d.chapman_kolmogorov", 1e-08),
+    ("density1d.reversibility_symmetry", 1e-11),
+    ("density2d.normalization", 1e-10),
+    ("density2d.marginal_matches_1d", 1e-08),
+    ("density2d.marginal_independent_of_c2", 1e-08),
+    ("density2d.reversibility_symmetry", 1e-11),
+    ("operators.weight_annihilation", 1e-13),
+    ("operators.conjugation_identities", 1e-13),
+    ("operators.simplex_eigenpolynomials", 1e-11),
+    ("operators.graded_spectrum", 1e-09),
+    ("operators.heat_residual_1d", 1e-06),
+    ("operators.face_derivative_dichotomy", 0.0),
+    ("laplace.series_vs_quadrature", 1e-08),
+    ("laplace.inversion_term_identity", 1e-10),
+    ("mc.mean_decay_rate", 0.1),
+    ("mc.ks_1d", 0.0489),
+    ("mc.chi_square_2d", 20.090235029663233),
+    ("mc.dirichlet_moments_k3", 1.0),
+]
+
+
 def read_csv(path):
     comments, rows = [], []
     header = None
@@ -87,6 +116,7 @@ def test_validate_quick_report_and_determinism(tmp_path):
     assert report["all_pass"] is True
     for check in report["checks"]:
         assert set(check) == {"check_name", "params", "measured", "tolerance", "pass"}
+    assert [(c["check_name"], c["tolerance"]) for c in report["checks"]] == QUICK_CHECKS
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -1,20 +1,18 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from jacobi_heat.heat_kernel import (
-    DensityQuery1,
-    DensityQuery2,
     Truncation,
     TruncationWarning,
     auto_truncation,
     auto_truncation_2d,
     chapman_kolmogorov_check,
-    density_1d,
     density_1d_values,
-    density_2d,
+    density_2d_values,
     eigen_transform_check,
     kernel_series_1d,
     kernel_series_2d,
@@ -56,17 +54,41 @@ def test_auto_truncation_refusals():
         auto_truncation(1e-9, 3, 1e-12)  # would need more than 1e5 modes
 
 
+def test_auto_truncation_2d_refuses_where_the_tail_bound_overflows():
+    # below t of about 0.006 the 2-D term bound overflows before it can certify
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="overflows"):
+        auto_truncation_2d(1e-3, 5, 1e-12)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_density_query_validation():
-    with pytest.raises(ValueError):
-        DensityQuery1(t=0.0, c=0.3, u=0.5, N=3)
-    with pytest.raises(ValueError):
-        DensityQuery1(t=0.5, c=1.2, u=0.5, N=3)
-    with pytest.raises(ValueError):
-        DensityQuery1(t=0.5, c=0.3, u=0.5, N=1)
-    with pytest.raises(ValueError):
-        DensityQuery2(t=0.1, c=(0.7, 0.5), u=(0.1, 0.1), N=4)
-    with pytest.raises(ValueError):
-        DensityQuery2(t=0.1, c=(0.2, 0.2), u=(0.1, 0.1), N=2)
+    tr1 = auto_truncation(0.5, 3, 1e-10)
+    tr2 = auto_truncation_2d(0.5, 4, 1e-10)
+    for t, c, u, N in [
+        (0.0, 0.3, 0.5, 3),
+        (-0.5, 0.3, 0.5, 3),
+        (0.5, 1.2, 0.5, 3),
+        (0.5, -0.1, 0.5, 3),
+        (0.5, 0.3, 1.5, 3),
+        (0.5, 0.3, np.array([0.2, -0.1]), 3),
+        (0.5, 0.3, 0.5, 1),
+    ]:
+        with pytest.raises(ValueError):
+            density_1d_values(t, c, u, N, tr1)
+    for t, c, u, N in [
+        (0.0, (0.2, 0.2), [(0.1, 0.1)], 4),
+        (-0.5, (0.2, 0.2), [(0.1, 0.1)], 4),
+        (0.1, (0.7, 0.5), [(0.1, 0.1)], 4),
+        (0.1, (0.9, 0.6), [(0.1, 0.1)], 4),
+        (0.1, (-0.1, 0.2), [(0.1, 0.1)], 4),
+        (0.1, (0.2, 0.2), [(0.1, 0.1), (0.6, 0.5)], 4),
+        (0.1, (0.2, 0.2), [(0.1, 0.1)], 2),
+    ]:
+        with pytest.raises(ValueError):
+            density_2d_values(t, c, u, N, tr2)
+    # the closed simplex is accepted, up to 1e-12 of rounding
+    assert np.all(np.isfinite(density_2d_values(0.5, (1.0, 0.0), [(0.5, 0.5 + 1e-13)], 4, tr2)))
 
 
 def test_density_1d_stationary_limit():
@@ -74,8 +96,8 @@ def test_density_1d_stationary_limit():
     N = 4
     tr = auto_truncation(60.0, N, 1e-12)
     for u in (0.0, 0.3, 0.8):
-        q = DensityQuery1(t=60.0, c=0.2, u=u, N=N)
-        assert density_1d(q, tr) == pytest.approx((N - 1) * (1.0 - u) ** (N - 2), abs=1e-12)
+        f = float(density_1d_values(60.0, 0.2, u, N, tr))
+        assert f == pytest.approx((N - 1) * (1.0 - u) ** (N - 2), abs=1e-12)
 
 
 def test_density_1d_against_brute_force_sum():
@@ -83,7 +105,7 @@ def test_density_1d_against_brute_force_sum():
     t = 0.5
     brute = sum((2 * n + 1) * math.exp(-n * (n + 1) * t) for n in range(200))
     tr = auto_truncation(t, 2, 1e-13)
-    got = density_1d(DensityQuery1(t=t, c=1.0, u=1.0, N=2), tr)
+    got = float(density_1d_values(t, 1.0, 1.0, 2, tr))
     assert abs(got - brute) <= 1e-14 * brute
 
 
@@ -109,8 +131,8 @@ def test_density_1d_reversibility():
     N, t = 4, 0.3
     tr = auto_truncation(t, N, 1e-12)
     for c, u in [(0.2, 0.7), (0.5, 0.9), (0.05, 0.4)]:
-        lhs = density_1d(DensityQuery1(t=t, c=c, u=u, N=N), tr) * (1.0 - c) ** (N - 2)
-        rhs = density_1d(DensityQuery1(t=t, c=u, u=c, N=N), tr) * (1.0 - u) ** (N - 2)
+        lhs = float(density_1d_values(t, c, u, N, tr)) * (1.0 - c) ** (N - 2)
+        rhs = float(density_1d_values(t, u, c, N, tr)) * (1.0 - u) ** (N - 2)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -168,9 +190,10 @@ def test_chapman_kolmogorov_diagonal_positivity():
 def test_density_2d_stationary_limit():
     N = 5
     tr = auto_truncation_2d(60.0, N, 1e-12)
-    q = DensityQuery2(t=60.0, c=(0.2, 0.2), u=(0.25, 0.3), N=N)
     want = (N - 1) * (N - 2) * (1.0 - 0.55) ** (N - 3)
-    assert density_2d(q, tr) == pytest.approx(want, abs=1e-11)
+    assert density_2d_values(60.0, (0.2, 0.2), [(0.25, 0.3)], N, tr)[0] == pytest.approx(
+        want, abs=1e-11
+    )
 
 
 @pytest.mark.parametrize("N", [3, 4, 6])
@@ -204,8 +227,8 @@ def test_density_2d_reversibility():
     c, u = (0.2, 0.3), (0.4, 0.15)
     sc = (1.0 - sum(c)) ** (N - 3)
     su = (1.0 - sum(u)) ** (N - 3)
-    lhs = density_2d(DensityQuery2(t=t, c=c, u=u, N=N), tr) * sc
-    rhs = density_2d(DensityQuery2(t=t, c=u, u=c, N=N), tr) * su
+    lhs = density_2d_values(t, c, [u], N, tr)[0] * sc
+    rhs = density_2d_values(t, u, [c], N, tr)[0] * su
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -213,8 +236,7 @@ def test_density_2d_boundary_evaluation():
     N = 4
     tr = auto_truncation_2d(0.3, N, 1e-10)
     # the density vanishes on the diagonal face where the weight vanishes
-    q = DensityQuery2(t=0.3, c=(0.3, 0.3), u=(0.6, 0.4), N=N)
-    assert density_2d(q, tr) == pytest.approx(0.0, abs=1e-12)
+    f = density_2d_values(0.3, (0.3, 0.3), [(0.6, 0.4), (1.0, 0.0)], N, tr)
+    assert f[0] == pytest.approx(0.0, abs=1e-12)
     # u1 = 1 vertex is handled through the removable-singularity limit
-    q = DensityQuery2(t=0.3, c=(0.3, 0.3), u=(1.0, 0.0), N=N)
-    assert math.isfinite(density_2d(q, tr))
+    assert math.isfinite(f[1])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from jacobi_heat.polynomials import (
-    Polynomial1D,
     SimplexPolynomial,
     dirichlet_weight_poly,
     jacobi_coeffs,
@@ -12,15 +11,16 @@ from jacobi_heat.special import jacobi_p
 
 
 def test_polynomial1d_arithmetic():
-    p = Polynomial1D([1.0, 2.0])  # 1 + 2u
-    q = Polynomial1D([0.0, 0.0, 3.0])  # 3u^2
-    assert (p + q).coeffs.tolist() == [1.0, 2.0, 3.0]
-    assert (p * q).coeffs.tolist() == [0.0, 0.0, 3.0, 6.0]
-    assert (1.0 - p).coeffs.tolist() == [0.0, -2.0]
-    assert p(0.5) == 2.0
-    assert p.deriv().coeffs.tolist() == [2.0]
-    assert q.integ()(1.0) == pytest.approx(1.0)
-    assert Polynomial1D([0.0]).degree == 0
+    # k = 1 is the univariate case
+    u = SimplexPolynomial.variable(0, 1)
+    p = 1.0 + 2.0 * u
+    q = 3.0 * u**2
+    assert (p + q).terms == {(0,): 1.0, (1,): 2.0, (2,): 3.0}
+    assert (p * q).terms == {(2,): 3.0, (3,): 6.0}
+    assert (1.0 - p).terms == {(1,): -2.0}
+    assert p(np.array([0.5])) == 2.0
+    assert p.partial(0).terms == {(0,): 2.0}
+    assert (p - p).max_abs_coeff() == 0.0 and (p - p).total_degree() == 0
 
 
 def test_simplex_polynomial_arithmetic():

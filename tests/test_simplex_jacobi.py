@@ -10,7 +10,7 @@ from jacobi_heat.simplex_jacobi import (
     simplex_q_norm_sq,
     simplex_q_polynomial,
 )
-from jacobi_heat.special import jacobi_p
+from jacobi_heat.special import jacobi_p, jacobi_p_one
 
 from oracles import jacobi_2f1
 
@@ -60,12 +60,15 @@ def test_q_removable_singularity_at_u1_equals_one():
 def test_norm_sq_closed_form():
     assert simplex_q_norm_sq((0, 0), 3) == pytest.approx(0.5, rel=1e-14)
     assert simplex_q_norm_sq((2, 1), 4) == pytest.approx(1.0 / 28.0, rel=1e-14)
-    # the constructor cross-checks the coupling-coefficient expression
+    # the same norm through the coupling coefficient c_{j,j}(n, N)
     for N in (3, 4, 6):
         for n in range(6):
             for j in range(n + 1):
                 val = simplex_q_norm_sq((n, j), N)
                 assert val == pytest.approx(1.0 / ((2 * n + N - 1) * (2 * j + N - 2)))
+                ends = jacobi_p_one(n - j, N - 2.0 + 2 * j) * jacobi_p_one(j, N - 3.0)
+                rest = (N - 2) * (2 * n + N - 1) * jacobi_p_one(n, N - 2.0) ** 2
+                assert ends**2 / (rest * koornwinder_c(j, j, n, N)) == pytest.approx(val, rel=1e-10)
 
 
 @pytest.mark.parametrize("N", [3, 4, 6])
