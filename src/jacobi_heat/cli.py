@@ -164,6 +164,8 @@ def _run_laplace(m):
 
 
 def _run_simulate(m):
+    if m.output_path == "-":
+        raise ManifestError("simulate requires --out (CSV ensembles are large)")
     p = m.params
     c = _parse_c(p["c"], p["k"])
     cfg = SdeConfig(
@@ -173,8 +175,6 @@ def _run_simulate(m):
     if np.any(start < 0.0) or start.sum() > 1.0:
         raise ManifestError("start point must lie in the closed simplex")
     ens = simulate(cfg, start)
-    if m.output_path == "-":
-        raise ManifestError("simulate requires --out (CSV ensembles are large)")
     export_csv(ens, m.output_path)
     return 0
 

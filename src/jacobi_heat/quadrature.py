@@ -5,6 +5,7 @@ Rules integrate against the Dirichlet-type weights (1-u)^a u^b on [0, 1] and
 independent integration oracle used by every density identity in the package.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,8 +48,15 @@ def gauss_jacobi_rule(m, a, b):
     Nodes and weights come from the eigen-decomposition of the symmetric
     tridiagonal recurrence matrix of the Jacobi weight (scipy's roots_jacobi),
     mapped from [-1, 1] by u = (x+1)/2.  Exact for polynomials of degree
-    <= 2m-1.
+    <= 2m-1.  Rules are built once per (m, a, b) and shared, so their nodes
+    and weights are read-only.
     """
+    return _gauss_jacobi_rule(m, a, b)
+
+
+# cached behind a plain function, so that profilers still see every request
+@functools.cache
+def _gauss_jacobi_rule(m, a, b):
     if m < 1:
         raise ValueError(f"need at least one node, got m={m}")
     if a <= -1.0 or b <= -1.0:
@@ -64,6 +72,8 @@ def gauss_jacobi_rule(m, a, b):
     total = beta_integral(b + 1.0, a + 1.0)
     if abs(weights.sum() - total) > 1e-12 * total:
         raise RuntimeError("quadrature weights do not sum to the Beta integral")
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights, weight_exponents=(a, b))
 
 

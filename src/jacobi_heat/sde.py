@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .operators import generalized_jacobi_op
 
@@ -26,6 +25,10 @@ __all__ = [
     "generator_moment_check",
     "GeneratorCheck",
 ]
+
+# paths stepped together: a block's (k, BLOCK_PATHS) state and scratch arrays
+# stay within one core's 2 MiB L2
+BLOCK_PATHS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,13 @@ class PathEnsemble:
     snapshots: dict = field(default_factory=dict)  # time -> (paths, k) array
 
 
-def _normals(rng, shape):
-    """Standard normals by inverse CDF of counter-based uniforms."""
-    u = rng.random(shape)
-    np.maximum(u, 2.0**-54, out=u)  # random() can return exactly 0
-    return ndtri(u)
+def _normals(rng, out):
+    """Fill out with standard normals from the generator's ziggurat sampler."""
+    rng.standard_normal(out=out)
+    return out
 
 
-def _diffusion_increment(u, z, sqrt2dt):
+def _diffusion_increment(u, z, sqrt2dt, out, work):
     """Apply the closed-form lower-triangular factor of u(diag - u u^T) to z.
 
     Rows index coordinates, columns index paths.  With q_j = 1 - u_1 - ...
@@ -76,22 +78,67 @@ def _diffusion_increment(u, z, sqrt2dt):
     L_ij = -u_i sqrt(u_j / (q_j q_{j-1})) for j < i.  The column factor
     depends on j only, so the off-diagonal part of row i is -u_i times a
     running prefix sum; degenerate pivots near the boundary are clamped
-    at 1e-14.
+    at 1e-14.  The result goes to out (shape of u); work is a (4, paths)
+    scratch array, so a step allocates nothing.
     """
     k = u.shape[0]
-    out = np.empty_like(u)
-    q_prev = np.ones(u.shape[1])
-    prefix = np.zeros(u.shape[1])
+    q_prev, q_i, prefix, tmp = work
+    q_prev.fill(1.0)
+    prefix.fill(0.0)
     for i in range(k):
-        q_i = np.clip(q_prev - u[i], 1e-14, None)
-        out[i] = np.sqrt(u[i] * q_i / q_prev) * z[i]
+        np.subtract(q_prev, u[i], out=q_i)
+        np.clip(q_i, 1e-14, None, out=q_i)
+        np.multiply(u[i], q_i, out=tmp)
+        tmp /= q_prev
+        np.sqrt(tmp, out=tmp)
+        np.multiply(tmp, z[i], out=out[i])
         if i:
-            out[i] -= u[i] * prefix
+            np.multiply(u[i], prefix, out=tmp)
+            out[i] -= tmp
         if i + 1 < k:
-            prefix += np.sqrt(u[i] / (q_i * q_prev)) * z[i]
-        q_prev = q_i
+            np.multiply(q_i, q_prev, out=tmp)
+            np.divide(u[i], tmp, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp *= z[i]
+            prefix += tmp
+        q_prev, q_i = q_i, q_prev
     out *= sqrt2dt
     return out
+
+
+def _simulate_block(cfg, start, rng, n, n_steps, drift_only, dests):
+    """Step n paths from start through every step.
+
+    dests maps a step to the (n, k) arrays that receive the state after it.
+    """
+    # coordinates as rows: every per-step reduction then runs over contiguous memory
+    u = np.tile(start[:, None], (1, n))
+    z = np.empty_like(u)
+    noise = np.empty_like(u)
+    work = np.empty((4, n))
+    total = np.empty(n)
+    over = np.empty(n, dtype=bool)
+    sqrt2dt = math.sqrt(2.0 * cfg.dt)
+    drift_scale = 1.0 - cfg.N * cfg.dt
+    for dest in dests.get(0, ()):
+        dest[...] = u.T
+    for step in range(1, n_steps + 1):
+        if not drift_only:
+            _diffusion_increment(u, _normals(rng, z), sqrt2dt, noise, work)
+        u *= drift_scale
+        u += cfg.dt
+        if not drift_only:
+            u += noise
+        np.clip(u, 0.0, None, out=u)
+        u.sum(axis=0, out=total)
+        np.greater(total, 1.0, out=over)
+        if over.any():
+            u[:, over] /= total[over]
+        # NaNs persist once present, so a sparse check still localizes the blowup
+        if (step % 64 == 0 or step in dests) and not np.all(np.isfinite(u)):
+            raise RuntimeError(f"simulation diverged (NaN/inf) by step {step}")
+        for dest in dests.get(step, ()):
+            dest[...] = u.T
 
 
 def simulate(cfg, start, snapshot_times=(), drift_only=False):
@@ -103,9 +150,13 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
         deterministic flow u' = 1 - N u)
 
     Coordinates are clamped at 0 after every step and the state is rescaled
-    onto the simplex whenever the coordinates sum above 1.  The whole
-    ensemble is driven in lockstep from a counter-based generator keyed by
-    the seed, so results are bit-identical for identical configurations.
+    onto the simplex whenever the coordinates sum above 1.  The ensemble is
+    stepped in blocks of BLOCK_PATHS paths, each through every step before
+    the next starts, so a block's state stays in cache.  Block b draws its
+    normals from a Philox generator keyed by (seed, b), so a path depends
+    only on the configuration, its block and its place in the block:
+    results are bit-identical for identical configurations, and the first
+    BLOCK_PATHS paths of any larger ensemble are the BLOCK_PATHS-path one.
     """
     start = np.asarray(start, dtype=float)
     if start.shape != (cfg.k,):
@@ -113,42 +164,22 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
     if np.any(start < 0.0) or start.sum() > 1.0 + 1e-12:
         raise ValueError(f"start {start} outside the closed simplex")
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n_steps = int(round(cfg.t_final / cfg.dt))
-    snap_steps = {}
+    terminal = np.empty((cfg.paths, cfg.k))
+    snapshots = {}
+    dests = {n_steps: [terminal]}  # step -> arrays that receive the state after it
     for ts in snapshot_times:
         step = int(round(ts / cfg.dt))
         if not (0 <= step <= n_steps):
             raise ValueError(f"snapshot time {ts} outside [0, t_final]")
-        snap_steps.setdefault(step, []).append(ts)
-
-    # coordinates as rows: every per-step reduction then runs over contiguous memory
-    u = np.tile(start[:, None], (1, cfg.paths))
-    sqrt2dt = math.sqrt(2.0 * cfg.dt)
-    drift_scale = 1.0 - cfg.N * cfg.dt
-    snapshots = {}
-    for ts in snap_steps.get(0, []):
-        snapshots[ts] = u.T.copy()
-    for step in range(1, n_steps + 1):
-        if not drift_only:
-            noise = _diffusion_increment(u, _normals(rng, u.shape), sqrt2dt)
-        u *= drift_scale
-        u += cfg.dt
-        if not drift_only:
-            u += noise
-        np.clip(u, 0.0, None, out=u)
-        total = u.sum(axis=0)
-        over = total > 1.0
-        if np.any(over):
-            u[:, over] /= total[over]
-        # NaNs persist once present, so a sparse check still localizes the blowup
-        if (step % 64 == 0 or step == n_steps or step in snap_steps) and not np.all(
-            np.isfinite(u)
-        ):
-            raise RuntimeError(f"simulation diverged (NaN/inf) by step {step}")
-        for ts in snap_steps.get(step, []):
-            snapshots[ts] = u.T.copy()
-    return PathEnsemble(terminal_points=u.T.copy(), config=cfg, snapshots=snapshots)
+        snapshots[ts] = np.empty((cfg.paths, cfg.k))
+        dests.setdefault(step, []).append(snapshots[ts])
+    for b, lo in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
+        hi = min(lo + BLOCK_PATHS, cfg.paths)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed + (b << 64)))
+        block_dests = {step: [a[lo:hi] for a in arrays] for step, arrays in dests.items()}
+        _simulate_block(cfg, start, rng, hi - lo, n_steps, drift_only, block_dests)
+    return PathEnsemble(terminal_points=terminal, config=cfg, snapshots=snapshots)
 
 
 def export_csv(ens, path):

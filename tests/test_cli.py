@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jacobi_heat import __version__
+from jacobi_heat import __version__, cli
 from jacobi_heat.cli import RunManifest, main, run
 from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
 
@@ -119,13 +119,19 @@ def test_validate_quick_report_and_determinism(tmp_path):
     assert [(c["check_name"], c["tolerance"]) for c in report["checks"]] == QUICK_CHECKS
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert main(["density1d", "--N", "1", "--t", "0.5", "--c", "0.3"]) == 2
     assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3,0.4"]) == 2
     assert main(["density2d", "--N", "4", "--t", "0.4", "--c", "0.8,0.9"]) == 2
     assert main(["laplace", "--N", "3", "--t", "0.3", "--c", "0.4", "--lambda", "50"]) == 2
     assert main(["simulate", "--N", "3", "--k", "1", "--t", "0.5", "--c", "2.0",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate ran before --out - was refused")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    assert main(["simulate", "--N", "3", "--k", "1", "--t", "0.5", "--c", "0.3", "--out", "-"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

@@ -6,8 +6,10 @@ import pytest
 from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
 from jacobi_heat.polynomials import SimplexPolynomial
 from jacobi_heat.sde import (
+    BLOCK_PATHS,
     PathEnsemble,
     SdeConfig,
+    _diffusion_increment,
     density_ks_check,
     export_csv,
     generator_moment_check,
@@ -46,6 +48,97 @@ def test_bit_identical_for_identical_configs():
     assert np.array_equal(a.snapshots[0.1], b.snapshots[0.1])
     c = simulate(SdeConfig(N=3, k=2, t_final=0.3, dt=1e-3, paths=400, seed=124), np.array([0.3, 0.3]))
     assert not np.array_equal(a.terminal_points, c.terminal_points)
+
+
+def test_multi_block_rerun_is_bit_identical():
+    cfg = SdeConfig(N=4, k=2, t_final=0.05, dt=5e-3, paths=BLOCK_PATHS + 37, seed=41)
+    a = simulate(cfg, np.array([0.3, 0.2]), snapshot_times=(0.02,))
+    b = simulate(cfg, np.array([0.3, 0.2]), snapshot_times=(0.02,))
+    assert np.array_equal(a.terminal_points, b.terminal_points)
+    assert np.array_equal(a.snapshots[0.02], b.snapshots[0.02])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_blocks_are_keyed_by_seed_and_block_only(k):
+    # the first block of a larger ensemble is the one-block ensemble
+    start = np.full(k, 0.2)
+    big, one = (
+        simulate(
+            SdeConfig(N=6, k=k, t_final=0.05, dt=5e-3, paths=paths, seed=43),
+            start,
+            snapshot_times=(0.01,),
+        )
+        for paths in (BLOCK_PATHS + 37, BLOCK_PATHS)
+    )
+    assert np.array_equal(big.terminal_points[:BLOCK_PATHS], one.terminal_points)
+    assert np.array_equal(big.snapshots[0.01][:BLOCK_PATHS], one.snapshots[0.01])
+
+
+def test_blocks_draw_from_distinct_keys():
+    # two full blocks sharing a key would be bit-identical
+    cfg = SdeConfig(N=3, k=1, t_final=0.05, dt=5e-3, paths=2 * BLOCK_PATHS, seed=59)
+    pts = simulate(cfg, np.array([0.4])).terminal_points
+    assert not np.array_equal(pts[:BLOCK_PATHS], pts[BLOCK_PATHS:])
+
+
+def test_short_last_block_stays_in_the_simplex():
+    cfg = SdeConfig(N=3, k=2, t_final=0.05, dt=5e-3, paths=BLOCK_PATHS + 37, seed=47)
+    pts = simulate(cfg, np.array([0.02, 0.95])).terminal_points  # start near the boundary
+    assert pts.shape == (BLOCK_PATHS + 37, 2)
+    last = pts[BLOCK_PATHS:]
+    assert np.all(last >= 0.0)
+    assert np.all(last.sum(axis=1) <= 1.0 + 1e-12)
+    assert np.unique(last, axis=0).shape[0] > 1
+
+
+def test_drift_only_rows_agree_across_blocks():
+    cfg = SdeConfig(N=4, k=2, t_final=0.05, dt=5e-3, paths=BLOCK_PATHS + 37, seed=53)
+    pts = simulate(cfg, np.array([0.3, 0.1]), drift_only=True).terminal_points
+    assert np.array_equal(pts, np.broadcast_to(pts[0], pts.shape))
+
+
+def _reference_diffusion_increment(u, z, sqrt2dt):
+    """The allocating loop form of the factor, kept as the bit-exact reference."""
+    k = u.shape[0]
+    out = np.empty_like(u)
+    q_prev = np.ones(u.shape[1])
+    prefix = np.zeros(u.shape[1])
+    for i in range(k):
+        q_i = np.clip(q_prev - u[i], 1e-14, None)
+        out[i] = np.sqrt(u[i] * q_i / q_prev) * z[i]
+        if i:
+            out[i] -= u[i] * prefix
+        if i + 1 < k:
+            prefix += np.sqrt(u[i] / (q_i * q_prev)) * z[i]
+        q_prev = q_i
+    out *= sqrt2dt
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_diffusion_increment_factors_the_diffusion_matrix(k):
+    # applied to the unit vectors, the increment is sqrt(2 dt) L column by column
+    rng = np.random.default_rng(60 + k)
+    dt = 0.3
+    for _ in range(20):
+        point = rng.dirichlet(np.ones(k + 1))[:k]
+        u = np.tile(point[:, None], (1, k))
+        L = _diffusion_increment(u, np.eye(k), math.sqrt(2.0 * dt), np.empty((k, k)), np.empty((4, k)))
+        want = 2.0 * dt * (np.diag(point) - np.outer(point, point))
+        assert np.max(np.abs(L @ L.T - want)) <= 1e-14
+        assert np.all(np.triu(L, 1) == 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_diffusion_increment_matches_the_allocating_loop(k):
+    rng = np.random.default_rng(70 + k)
+    n = 500
+    u = rng.dirichlet(np.ones(k + 1), size=n).T[:k].copy()
+    u[:, :5] = 0.0
+    u[:, 5:10] = rng.dirichlet(np.ones(k), size=5).T  # on the face sum(u) = 1: the pivot clamp
+    z = rng.standard_normal((k, n))
+    got = _diffusion_increment(u, z, 0.05, np.empty((k, n)), np.empty((4, n)))
+    assert np.array_equal(got, _reference_diffusion_increment(u, z, 0.05))
 
 
 def test_simplex_containment():
