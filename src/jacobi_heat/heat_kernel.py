@@ -8,8 +8,16 @@ The one-dimensional density is
 and the two-dimensional one is the analogous expansion over the simplex
 polynomials Q_{n-j,j}.  Densities are always reported with their Dirichlet
 weight factor included, i.e. with respect to Lebesgue measure on the simplex.
-Truncations carry a rigorous tail bound built from the endpoint values of the
-normalized polynomials (|P_n/P_n(1)| <= 1 on [-1, 1]).
+Truncations carry a rigorous tail bound from the unitary spherical harmonics.
+Pull shell n of either expansion back to S^{2N-1} in C^N by u_i = |z_i|^2:
+it spans a subspace of H_{n,n}, the harmonics of bidegree (n, n).  Against
+the uniform probability measure on the sphere, Cauchy-Schwarz bounds that
+subspace's reproducing kernel by the diagonal of H_{n,n}'s kernel, and U(N)
+acts transitively on the sphere, so that diagonal is the constant
+dim H_{n,n} = harmonic_dimension(n, N).  Multiplying by the Dirichlet
+normalizer bounds the n-th term by (N-1) dim H_{n,n} e^{-n(n+N-1)t} for
+k = 1, which is _term_bound_1d, and by (N-1)(N-2) dim H_{n,n} e^{-n(n+N-1)t}
+for k = 2; the k = 2 bound is attained at the vertices (1, 0) and (0, 1).
 """
 
 import math
@@ -63,25 +71,9 @@ def _term_bound_1d(n, t, N):
     return (2 * n + N - 1) * b * b * math.exp(-eigenvalue(n, N) * t)
 
 
-def _endpoint_sq(m, a):
-    """[P_m^{a,0}(1)]^2 = [(a+1)_m / m!]^2 computed as a product of ratios."""
-    b = 1.0
-    for i in range(1, m + 1):
-        b *= (a + i) / i
-    return b * b
-
-
 def _term_bound_2d(n, t, N):
-    """Tail bound on the n-th shell of the 2-simplex expansion."""
-    s = 0.0
-    for j in range(n + 1):
-        s += (
-            (2 * n + N - 1)
-            * (2 * j + N - 2)
-            * _endpoint_sq(n - j, N - 2 + 2 * j)
-            * _endpoint_sq(j, N - 3)
-        )
-    return s * math.exp(-eigenvalue(n, N) * t)
+    """Bound (N-1)(N-2) dim H_{n,n} e^{-n(n+N-1)t} on the n-th shell of the 2-simplex kernel."""
+    return (N - 2) * _term_bound_1d(n, t, N)
 
 
 def _auto_truncation(t, N, tol, term_bound):
@@ -145,18 +137,8 @@ def kernel_series_1d(t, c, u, N, n_max, mode_factors=None):
     w = np.exp(-ns * (ns + N - 1.0) * t) * (2.0 * ns + N - 1.0) * pc
     if mode_factors is not None:
         w = w * np.asarray(mode_factors, dtype=float)
-    # Neumaier accumulation over the mode index
-    total = np.zeros_like(u_arr)
-    comp = np.zeros_like(u_arr)
-    last = np.zeros_like(u_arr)
-    for n in range(n_max + 1):
-        term = w[n] * pu[n]
-        if n == n_max:
-            last = term
-        fresh = total + term
-        comp += np.where(np.abs(total) >= np.abs(term), (total - fresh) + term, (term - fresh) + total)
-        total = fresh
-    vals = total + comp
+    vals = w @ pu
+    last = w[-1] * pu[-1]
     out = vals if np.ndim(u) else float(vals[0])
     return out, float(np.max(np.abs(last)))
 
@@ -221,7 +203,6 @@ def kernel_series_2d(t, c, pts, N, n_max):
     inner_c_all = jacobi_table(n_max, N - 3.0, 0.0, np.asarray(cz))
 
     total = np.zeros(len(pts))
-    comp = np.zeros(len(pts))
     shell = np.zeros(len(pts))
     for j in range(n_max + 1):
         a = N - 2.0 + 2.0 * j
@@ -236,16 +217,9 @@ def kernel_series_2d(t, c, pts, N, n_max):
         m = np.arange(n_max - j + 1)
         n = m + j
         w = decay[n] * (2.0 * n + N - 1.0) * (2.0 * j + N - 2.0) * outer_c * inner_c
-        contrib = (w[:, None] * outer_u).sum(axis=0) * inner_u
+        total += (w @ outer_u) * inner_u
         shell += w[-1] * outer_u[-1] * inner_u
-        fresh = total + contrib
-        comp += np.where(
-            np.abs(total) >= np.abs(contrib),
-            (total - fresh) + contrib,
-            (contrib - fresh) + total,
-        )
-        total = fresh
-    return total + comp, float(np.max(np.abs(shell)))
+    return total, float(np.max(np.abs(shell)))
 
 
 def _in_closed_simplex(p):
@@ -278,8 +252,9 @@ def eigen_transform_check(n, t, c, N):
     """
     from .quadrature import gauss_jacobi_rule
 
-    rule = gauss_jacobi_rule(64, N - 2.0, 0.0)
     tr = auto_truncation(t, N, 1e-13)
+    # the integrand has degree n_max + n, which this rule integrates exactly
+    rule = gauss_jacobi_rule(max(64, (tr.n_max + n) // 2 + 1), N - 2.0, 0.0)
     series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
     pn = jacobi_table(n, N - 2.0, 0.0, 2.0 * rule.nodes - 1.0)[n]
     return float(np.dot(rule.weights, series * pn))
@@ -297,9 +272,9 @@ def chapman_kolmogorov_check(t, s, c, u, N):
 
     if t <= 0.0 or s <= 0.0:
         raise ValueError("both time arguments must be positive")
-    rule = gauss_jacobi_rule(64, N - 2.0, 0.0)
     tr_t = auto_truncation(t, N, 1e-12)
     tr_s = auto_truncation(s, N, 1e-12)
+    rule = gauss_jacobi_rule(max(64, (tr_t.n_max + tr_s.n_max) // 2 + 1), N - 2.0, 0.0)
     first, _ = kernel_series_1d(t, c, rule.nodes, N, tr_t.n_max)
     second, _ = kernel_series_1d(s, u, rule.nodes, N, tr_s.n_max)
     s1_u = (1.0 - u) ** (N - 2)

@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi_heat.heat_kernel import (
     Truncation,
     TruncationWarning,
+    _term_bound_1d,
+    _term_bound_2d,
     auto_truncation,
     auto_truncation_2d,
     chapman_kolmogorov_check,
@@ -18,7 +22,8 @@ from jacobi_heat.heat_kernel import (
     kernel_series_2d,
 )
 from jacobi_heat.quadrature import gauss_jacobi_rule, simplex_rule_2
-from jacobi_heat.special import eigenvalue, jacobi_p
+from jacobi_heat.simplex_jacobi import simplex_q, simplex_q_norm_sq
+from jacobi_heat.special import eigenvalue, harmonic_dimension, jacobi_p, jacobi_table
 
 
 def test_truncation_validation():
@@ -55,11 +60,37 @@ def test_auto_truncation_refusals():
 
 
 def test_auto_truncation_2d_refuses_where_the_tail_bound_overflows():
-    # below t of about 0.006 the 2-D term bound overflows before it can certify
     start = time.perf_counter()
     with pytest.raises(ValueError, match="overflows"):
-        auto_truncation_2d(1e-3, 5, 1e-12)
+        auto_truncation_2d(1e-4, 120, 1e-12)
     assert time.perf_counter() - start < 5.0
+    # the harmonic-dimension bound is (N-2) times the 1-D one, so the 2-D cutoff
+    # stays within a few modes of the 1-D cutoff down to small t
+    assert auto_truncation_2d(1e-3, 5, 1e-12).n_max <= auto_truncation(1e-3, 5, 1e-12).n_max + 5
+    assert auto_truncation_2d(0.01, 5, 1e-10).n_max <= 75
+
+
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_term_bound_2d_is_the_sharp_shell_kernel_bound(N):
+    # the shell kernel sum_j Q_j(c) Q_j(u) / ||Q_j||^2, built from simplex_jacobi
+    rng = np.random.default_rng(N)
+    corners = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.5)]
+    points = corners + [tuple(p[:2]) for p in rng.dirichlet(np.ones(3), size=12)]
+    pairs = [(p, p) for p in points] + list(zip(points, points[1:]))
+    for n in range(13):
+        bound = (N - 2) * _term_bound_1d(n, 0.0, N)
+        assert (N - 1) * (N - 2) * harmonic_dimension(n, N) == pytest.approx(bound, rel=1e-12)
+
+        def kernel(c, u):
+            return sum(
+                simplex_q((n, j), N, c) * simplex_q((n, j), N, u) / simplex_q_norm_sq((n, j), N)
+                for j in range(n + 1)
+            )
+
+        for c, u in pairs:
+            assert abs(kernel(c, u)) <= (1.0 + 1e-12) * bound
+        assert kernel((1.0, 0.0), (1.0, 0.0)) == pytest.approx(bound, rel=1e-12)
+        assert _term_bound_2d(n, 0.0, N) == bound
 
 
 def test_density_query_validation():
@@ -136,6 +167,22 @@ def test_density_1d_reversibility():
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
+@pytest.mark.parametrize("N", [2, 3, 5, 10])
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.9, 1.0])
+def test_kernel_series_1d_matches_an_exactly_rounded_sum(N, t, c):
+    u = np.linspace(0.0, 1.0, 41)
+    tr = auto_truncation(t, N, 1e-12)
+    got, _ = kernel_series_1d(t, c, u, N, tr.n_max)
+    ns = np.arange(tr.n_max + 1)
+    w = np.exp(-ns * (ns + N - 1.0) * t) * (2.0 * ns + N - 1.0)
+    w *= jacobi_table(tr.n_max, N - 2.0, 0.0, 2.0 * c - 1.0)
+    terms = w[:, None] * jacobi_table(tr.n_max, N - 2.0, 0.0, 2.0 * u - 1.0)
+    for i in range(len(u)):
+        ref = math.fsum(terms[:, i])
+        assert abs(got[i] - ref) <= 8.0 * np.finfo(float).eps * float(np.abs(terms[:, i]).sum())
+
+
 def test_truncation_warning_fires_on_bogus_certificate():
     bogus = Truncation(n_max=2, tol=1e-16, achieved_bound=1e-16)
     with pytest.warns(TruncationWarning):
@@ -165,9 +212,20 @@ def test_eigen_transform_spectral_decay(n):
     assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_eigen_transform_quadrature_follows_the_series_degree():
+    # at t = 1e-4 the series has hundreds of modes; a fixed 64-node rule was off by 3e-2
+    assert eigen_transform_check(0, 1e-4, 0.3, 3) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_chapman_kolmogorov_reference_case():
     lhs, rhs = chapman_kolmogorov_check(0.25, 0.25, 0.2, 0.6, 3)
     assert abs(lhs - rhs) <= 1e-8
+
+
+def test_chapman_kolmogorov_small_time():
+    # a fixed 64-node rule disagreed by 7e-4 here; the rule now follows n_t + n_s
+    lhs, rhs = chapman_kolmogorov_check(1e-3, 1e-3, 0.4, 0.42, 4)
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
 def test_chapman_kolmogorov_long_time_forgets_start():
@@ -240,3 +298,28 @@ def test_density_2d_boundary_evaluation():
     assert f[0] == pytest.approx(0.0, abs=1e-12)
     # u1 = 1 vertex is handled through the removable-singularity limit
     assert math.isfinite(f[1])
+
+
+@st.composite
+def _marginal_cases(draw):
+    N = draw(st.integers(3, 10))
+    t = math.exp(draw(st.floats(math.log(1e-3), 0.0)))
+    # every barycentric coordinate of c is at least 0.05
+    c1 = draw(st.floats(0.05, 0.9))
+    c2 = 0.05 + draw(st.floats(0.0, 1.0)) * (0.9 - c1)
+    u1 = draw(st.floats(0.02, 0.95))
+    return N, t, (c1, c2), u1
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_marginal_cases())
+def test_density_2d_u2_marginal_is_the_1d_density(case):
+    N, t, c, u1 = case
+    tr2 = auto_truncation_2d(t, N, 1e-12)
+    # the series is a polynomial of degree n_max in u2, which this rule integrates exactly
+    inner = gauss_jacobi_rule(tr2.n_max // 2 + 1, N - 3.0, 0.0)
+    pts = np.column_stack([np.full(len(inner), u1), (1.0 - u1) * inner.nodes])
+    series, _ = kernel_series_2d(t, c, pts, N, tr2.n_max)
+    marginal = (1.0 - u1) ** (N - 2) * float(np.dot(inner.weights, series))
+    want = float(density_1d_values(t, c[0], u1, N, auto_truncation(t, N, 1e-12)))
+    assert abs(marginal - want) <= 1e-10 * max(1.0, abs(want))
