@@ -39,16 +39,12 @@ from .polynomials import SimplexPolynomial
 from .quadrature import QuadratureRule, SimplexRule2, gauss_jacobi_rule, integrate, simplex_rule_2
 from .sde import PathEnsemble, SdeConfig, density_ks_check, generator_moment_check, simulate
 from .simplex_jacobi import (
-    SimplexIndex,
-    SimplexPoint,
     koornwinder_c,
     simplex_q,
     simplex_q_norm_sq,
     simplex_q_polynomial,
 )
 from .special import (
-    JacobiParams,
-    ModelParams,
     bessel_j,
     eigenvalue,
     harmonic_dimension,

@@ -139,7 +139,9 @@ def inversion_term_identity(n, c, N, lam):
     from .quadrature import gauss_jacobi_rule
 
     lhs = closed_form_coefficient(c, N, n) * lam**n * hyp1f1(n + 1.0, N + 2.0 * n, lam)
-    rule = gauss_jacobi_rule(64, N - 2.0, 0.0)
+    # exact for P_n times a degree-40 polynomial; that one matches e^{lam u},
+    # |lam| <= 10, on [0, 1] to below 1e-30 of its size
+    rule = gauss_jacobi_rule(max(64, (n + 40) // 2 + 1), N - 2.0, 0.0)
     pn = jacobi_table(n, 0.0, N - 2.0, 1.0 - 2.0 * rule.nodes)[n]
     integral = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * pn))
     rhs = (2 * n + N - 1) * jacobi_p(n, (0.0, N - 2.0), 1.0 - 2.0 * c) * integral

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simplex_jacobi import _in_closed_simplex
 from .special import eigenvalue, jacobi_table
 
 __all__ = [
@@ -77,8 +78,6 @@ def _term_bound_2d(n, t, N):
 
 
 def _auto_truncation(t, N, tol, term_bound):
-    if t <= 0.0:
-        raise ValueError("t must be positive")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     bounds = [term_bound(0, t, N)]
@@ -111,13 +110,13 @@ def _auto_truncation(t, N, tol, term_bound):
 
 def auto_truncation(t, N, tol):
     """Smallest cutoff whose certified 1-D series tail is below tol."""
+    _require_time_and_dimension(t, N, 2)
     return _auto_truncation(t, N, tol, _term_bound_1d)
 
 
 def auto_truncation_2d(t, N, tol):
     """Smallest cutoff whose certified 2-simplex series tail is below tol."""
-    if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
+    _require_time_and_dimension(t, N, 3)
     return _auto_truncation(t, N, tol, _term_bound_2d)
 
 
@@ -130,15 +129,15 @@ def kernel_series_1d(t, c, u, N, n_max, mode_factors=None):
     last_term_max) where the second entry is the largest magnitude the final
     term attains on the evaluation set.
     """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    pu = jacobi_table(n_max, N - 2.0, 0.0, 2.0 * u_arr - 1.0)
-    pc = jacobi_table(n_max, N - 2.0, 0.0, np.asarray(2.0 * c - 1.0))
+    # c is point 0, so one recurrence evaluates the start point and every u
+    cu = np.concatenate(([c], np.ravel(u)), dtype=float)
+    table = jacobi_table(n_max, N - 2.0, 0.0, 2.0 * cu - 1.0)
     ns = np.arange(n_max + 1)
-    w = np.exp(-ns * (ns + N - 1.0) * t) * (2.0 * ns + N - 1.0) * pc
+    w = np.exp(-ns * (ns + N - 1.0) * t) * (2.0 * ns + N - 1.0) * table[:, 0]
     if mode_factors is not None:
         w = w * np.asarray(mode_factors, dtype=float)
-    vals = w @ pu
-    last = w[-1] * pu[-1]
+    vals = (w @ table)[1:]
+    last = w[-1] * table[-1, 1:]
     out = vals if np.ndim(u) else float(vals[0])
     return out, float(np.max(np.abs(last)))
 
@@ -183,48 +182,29 @@ def kernel_series_2d(t, c, pts, N, n_max):
     Sums e^{-n(n+N-1)t} Q_{n-j,j}(c) Q_{n-j,j}(u) / ||Q_{n-j,j}||^2 over all
     n <= n_max, 0 <= j <= n.  Returns (values, last_shell_max).
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    c1, c2 = float(c[0]), float(c[1])
-    u1 = pts[:, 0]
-    u2 = pts[:, 1]
+    # c is point 0, so one recurrence per j evaluates the start point and every u
+    cu = np.vstack([c, np.reshape(pts, (-1, 2))], dtype=float)
+    u1 = cu[:, 0]
+    u2 = cu[:, 1]
     x = 2.0 * u1 - 1.0
     rem = 1.0 - u1
     safe = rem > 1e-300
     z = np.where(safe, np.clip(2.0 * u2 / np.where(safe, rem, 1.0) - 1.0, -1.0, 1.0), 1.0)
 
-    cx = 2.0 * c1 - 1.0
-    crem = 1.0 - c1
-    cz = min(1.0, max(-1.0, 2.0 * c2 / crem - 1.0)) if crem > 1e-300 else 1.0
-
     ns = np.arange(n_max + 1)
     decay = np.exp(-ns * (ns + N - 1.0) * t)
+    inner_all = jacobi_table(n_max, N - 3.0, 0.0, z)
 
-    inner_u_all = jacobi_table(n_max, N - 3.0, 0.0, z)
-    inner_c_all = jacobi_table(n_max, N - 3.0, 0.0, np.asarray(cz))
-
-    total = np.zeros(len(pts))
-    shell = np.zeros(len(pts))
+    total = np.zeros(len(cu) - 1)
+    shell = np.zeros(len(cu) - 1)
     for j in range(n_max + 1):
-        a = N - 2.0 + 2.0 * j
-        if j == 0:
-            inner_u = np.ones(len(pts))
-            inner_c = 1.0
-        else:
-            inner_u = np.where(safe, rem**j, 0.0) * inner_u_all[j]
-            inner_c = (crem**j * float(inner_c_all[j])) if crem > 1e-300 else 0.0
-        outer_u = jacobi_table(n_max - j, a, 0.0, x)
-        outer_c = jacobi_table(n_max - j, a, 0.0, np.asarray(cx))
-        m = np.arange(n_max - j + 1)
-        n = m + j
-        w = decay[n] * (2.0 * n + N - 1.0) * (2.0 * j + N - 2.0) * outer_c * inner_c
-        total += (w @ outer_u) * inner_u
-        shell += w[-1] * outer_u[-1] * inner_u
+        inner = np.where(safe, rem**j, 0.0) * inner_all[j] if j else np.ones(len(cu))
+        outer = jacobi_table(n_max - j, N - 2.0 + 2.0 * j, 0.0, x)
+        n = np.arange(j, n_max + 1)
+        w = decay[n] * (2.0 * n + N - 1.0) * (2.0 * j + N - 2.0) * outer[:, 0] * inner[0]
+        total += (w @ outer)[1:] * inner[1:]
+        shell += w[-1] * outer[-1, 1:] * inner[1:]
     return total, float(np.max(np.abs(shell)))
-
-
-def _in_closed_simplex(p):
-    slack = 1e-12
-    return (p[..., 0] >= -slack) & (p[..., 1] >= -slack) & (p[..., 0] + p[..., 1] <= 1.0 + slack)
 
 
 def density_2d_values(t, c, pts, N, tr):

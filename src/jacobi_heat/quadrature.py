@@ -7,7 +7,7 @@ independent integration oracle used by every density identity in the package.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -19,10 +19,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_exponents: tuple = field(default=(0.0, 0.0))
-
-    def __len__(self):
-        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -31,10 +27,6 @@ class SimplexRule2:
 
     nodes: np.ndarray  # shape (M, 2)
     weights: np.ndarray
-    N: int
-
-    def __len__(self):
-        return len(self.weights)
 
 
 def beta_integral(b, a):
@@ -74,7 +66,7 @@ def _gauss_jacobi_rule(m, a, b):
         raise RuntimeError("quadrature weights do not sum to the Beta integral")
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, weight_exponents=(a, b))
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def simplex_rule_2(m, N):
@@ -96,7 +88,7 @@ def simplex_rule_2(m, N):
     total = 1.0 / ((N - 1) * (N - 2))
     if abs(weights.sum() - total) > 1e-12 * total:
         raise RuntimeError("simplex rule weights do not sum to the Dirichlet mass")
-    return SimplexRule2(nodes=nodes, weights=weights, N=N)
+    return SimplexRule2(nodes=nodes, weights=weights)
 
 
 def integrate(rule, f):

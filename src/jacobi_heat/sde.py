@@ -7,7 +7,6 @@ The ensemble is the independent stochastic oracle for the spectral densities
 and the only tool covering three or more projected coordinates.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -20,7 +19,6 @@ __all__ = [
     "SdeConfig",
     "PathEnsemble",
     "simulate",
-    "export_csv",
     "density_ks_check",
     "generator_moment_check",
     "GeneratorCheck",
@@ -161,7 +159,7 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
     start = np.asarray(start, dtype=float)
     if start.shape != (cfg.k,):
         raise ValueError(f"start must have shape ({cfg.k},), got {start.shape}")
-    if np.any(start < 0.0) or start.sum() > 1.0 + 1e-12:
+    if not (np.all(start >= 0.0) and start.sum() <= 1.0 + 1e-12):
         raise ValueError(f"start {start} outside the closed simplex")
 
     n_steps = int(round(cfg.t_final / cfg.dt))
@@ -180,23 +178,6 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
         block_dests = {step: [a[lo:hi] for a in arrays] for step, arrays in dests.items()}
         _simulate_block(cfg, start, rng, hi - lo, n_steps, drift_only, block_dests)
     return PathEnsemble(terminal_points=terminal, config=cfg, snapshots=snapshots)
-
-
-def export_csv(ens, path):
-    """Dump terminal coordinates, one row per path, with a '#' parameter header."""
-    from . import __version__
-
-    cfg = ens.config
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# jacobi-heat {__version__}\n")
-        fh.write(
-            f"# simplex diffusion ensemble: N={cfg.N} k={cfg.k} t_final={cfg.t_final!r}"
-            f" dt={cfg.dt!r} paths={cfg.paths} seed={cfg.seed}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow([f"u{i + 1}" for i in range(cfg.k)])
-        for row in ens.terminal_points:
-            writer.writerow([format(v, ".17g") for v in row])
 
 
 def _cdf_from_density(density, xs, panels=200, order=16):

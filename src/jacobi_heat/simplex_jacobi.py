@@ -8,14 +8,13 @@ polynomial of total degree n.
 """
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .polynomials import SimplexPolynomial, jacobi_coeffs, jacobi_shifted_coeffs
 from .special import jacobi_p, pochhammer
 
 __all__ = [
-    "SimplexIndex",
-    "SimplexPoint",
     "simplex_q",
     "simplex_q_norm_sq",
     "simplex_q_polynomial",
@@ -23,52 +22,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimplexIndex:
-    """Total degree n and split index j, 0 <= j <= n."""
-
-    n: int
-    j: int
-
-    def __post_init__(self):
-        if not (0 <= self.j <= self.n):
-            raise ValueError(f"need 0 <= j <= n, got n={self.n}, j={self.j}")
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Point of the open 2-simplex; boundary points need boundary_ok=True."""
-
-    u1: float
-    u2: float
-    boundary_ok: bool = False
-
-    def __post_init__(self):
-        if self.boundary_ok:
-            tol = 1e-12
-            ok = self.u1 >= -tol and self.u2 >= -tol and self.u1 + self.u2 <= 1.0 + tol
-        else:
-            ok = self.u1 > 0.0 and self.u2 > 0.0 and self.u1 + self.u2 < 1.0
-        if not ok:
-            raise ValueError(f"({self.u1}, {self.u2}) outside the 2-simplex")
-
-
-def _as_index(idx):
-    if isinstance(idx, SimplexIndex):
-        return idx.n, idx.j
+def _split(idx):
+    """The (n, j) of Q_{n-j,j}, refused unless 0 <= j <= n."""
     n, j = idx
-    SimplexIndex(n, j)  # validate
+    if not (0 <= j <= n):
+        raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
     return n, j
 
 
-def _as_point(p):
-    if isinstance(p, SimplexPoint):
-        return p.u1, p.u2
-    u1, u2 = p
-    tol = 1e-12
-    if u1 < -tol or u2 < -tol or u1 + u2 > 1.0 + tol:
-        raise ValueError(f"({u1}, {u2}) outside the closed 2-simplex")
-    return float(u1), float(u2)
+def _in_closed_simplex(p):
+    """Mask of the points p[..., :2] in the closed 2-simplex, up to 1e-12 of rounding."""
+    slack = 1e-12
+    return (p[..., 0] >= -slack) & (p[..., 1] >= -slack) & (p[..., 0] + p[..., 1] <= 1.0 + slack)
 
 
 def simplex_q(idx, N, p):
@@ -80,8 +45,10 @@ def simplex_q(idx, N, p):
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
-    n, j = _as_index(idx)
-    u1, u2 = _as_point(p)
+    n, j = _split(idx)
+    u1, u2 = map(float, p)
+    if not _in_closed_simplex(np.array((u1, u2))):
+        raise ValueError(f"({u1}, {u2}) outside the closed 2-simplex")
     outer = jacobi_p(n - j, (N - 2.0 + 2 * j, 0.0), 2.0 * u1 - 1.0)
     if j == 0:
         return outer
@@ -99,7 +66,7 @@ def simplex_q_norm_sq(idx, N):
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
-    n, j = _as_index(idx)
+    n, j = _split(idx)
     return 1.0 / ((2 * n + N - 1) * (2 * j + N - 2))
 
 
@@ -130,7 +97,7 @@ def simplex_q_polynomial(idx, N):
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
-    n, j = _as_index(idx)
+    n, j = _split(idx)
     u1 = SimplexPolynomial.variable(0, 2)
     u2 = SimplexPolynomial.variable(1, 2)
     one_minus_u1 = SimplexPolynomial.constant(1.0, 2) - u1

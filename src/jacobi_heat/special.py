@@ -6,14 +6,11 @@ near truncation (~1e-16 of the head) are not lost.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "JacobiParams",
-    "ModelParams",
     "CompensatedSum",
     "pochhammer",
     "jacobi_table",
@@ -48,46 +45,6 @@ class CompensatedSum:
     @property
     def value(self):
         return self._s + self._c
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Exponent pair (alpha, beta) of a Jacobi weight; both must exceed -1."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValueError(
-                f"Jacobi parameters must exceed -1, got ({self.alpha}, {self.beta})"
-            )
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Ambient complex dimension N and number k of projected coordinates."""
-
-    N: int
-    k: int = 1
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if not (1 <= self.k <= self.N - 1):
-            raise ValueError(f"k must satisfy 1 <= k <= N-1, got k={self.k}, N={self.N}")
-
-    def eigenvalue(self, n):
-        """Decay rate n(n+N-1) of the degree-n spectral mode."""
-        return eigenvalue(n, self.N)
-
-
-def _as_alpha_beta(params):
-    """Accept a JacobiParams or a bare (alpha, beta) pair."""
-    if isinstance(params, JacobiParams):
-        return params.alpha, params.beta
-    p = JacobiParams(*params)  # re-validate tuples
-    return p.alpha, p.beta
 
 
 def pochhammer(a, m):
@@ -126,10 +83,12 @@ def jacobi_p(n, params, x):
     """Jacobi polynomial P_n^{alpha,beta}(x) on [-1, 1].
 
     n: nonnegative degree
-    params: JacobiParams or (alpha, beta) pair with alpha, beta > -1
+    params: (alpha, beta) pair with alpha, beta > -1
     x: scalar or ndarray; values with |x| > 1 + 1e-12 are refused
     """
-    alpha, beta = _as_alpha_beta(params)
+    alpha, beta = params
+    if not (alpha > -1.0 and beta > -1.0):
+        raise ValueError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
     if n < 0 or n != int(n):
         raise ValueError(f"degree must be a nonnegative integer, got {n}")
     xa = np.asarray(x, dtype=float)
@@ -146,8 +105,7 @@ def jacobi_p_one(n, alpha, beta=0.0):
 
 def jacobi_p_normalized(n, params, x):
     """P_n^{alpha,beta}(x) / P_n^{alpha,beta}(1); equals 1 at x = 1."""
-    alpha, beta = _as_alpha_beta(params)
-    return jacobi_p(n, (alpha, beta), x) / jacobi_p_one(n, alpha, beta)
+    return jacobi_p(n, params, x) / jacobi_p_one(n, *params)
 
 
 def jacobi_norm_sq_1d(n, N):
@@ -202,9 +160,8 @@ def hyp1f1(a, b, lam):
     return acc.value
 
 
-def eigenvalue(n, params):
-    """Spectral decay rate n(n+N-1); accepts ModelParams or a bare N."""
-    N = params.N if isinstance(params, ModelParams) else int(params)
+def eigenvalue(n, N):
+    """Spectral decay rate n(n+N-1) of the degree-n mode."""
     return n * (n + N - 1)
 
 

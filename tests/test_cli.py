@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from jacobi_heat import __version__, cli
-from jacobi_heat.cli import RunManifest, main, run
+from jacobi_heat.cli import main
 from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
+from jacobi_heat.sde import SdeConfig, simulate
 
 
 # the quick-tier registry: every check name and tolerance, in report order
@@ -87,12 +88,14 @@ def test_coeffs_csv_small_differences(tmp_path):
 
 def test_laplace_csv(tmp_path):
     out = tmp_path / "la.csv"
-    code = main(["laplace", "--N", "3", "--t", "0.3", "--c", "0.4",
-                 "--lambda=-2,0,2", "--out", str(out)])
-    assert code == 0
-    _, header, rows = read_csv(out)
-    assert header == ["lambda", "series", "quadrature", "abs_diff"]
-    assert np.all(rows[:, 3] <= 1e-8)
+    # at t = 1e-4 the series has 871 modes; a fixed 64-node rule read 0.843 at lambda = 0
+    for N, t, c in [("3", "0.3", "0.4"), ("5", "1e-4", "0.9")]:
+        code = main(["laplace", "--N", N, "--t", t, "--c", c, "--lambda=-10,-2,0,2,10",
+                     "--out", str(out)])
+        assert code == 0
+        _, header, rows = read_csv(out)
+        assert header == ["lambda", "series", "quadrature", "abs_diff"]
+        assert np.all(rows[:, 3] <= 1e-8)
 
 
 def test_simulate_csv(tmp_path):
@@ -100,9 +103,13 @@ def test_simulate_csv(tmp_path):
     code = main(["simulate", "--N", "3", "--k", "2", "--t", "0.2", "--c", "0.4,0.3",
                  "--paths", "30", "--dt", "1e-2", "--seed", "11", "--out", str(out)])
     assert code == 0
-    _, header, rows = read_csv(out)
+    assert b"\r" not in out.read_bytes()
+    comments, header, rows = read_csv(out)
+    assert any(__version__ in c for c in comments)
+    assert any("paths=30" in c and "seed=11" in c for c in comments)
     assert header == ["u1", "u2"]
-    assert rows.shape == (30, 2)
+    cfg = SdeConfig(N=3, k=2, t_final=0.2, dt=1e-2, paths=30, seed=11)
+    np.testing.assert_array_equal(rows, simulate(cfg, np.array([0.4, 0.3])).terminal_points)
 
 
 def test_validate_quick_report_and_determinism(tmp_path):
@@ -120,12 +127,21 @@ def test_validate_quick_report_and_determinism(tmp_path):
 
 
 def test_usage_errors_exit_two(tmp_path, monkeypatch):
+    out = f"--out={tmp_path / 'x.csv'}"
+    # refused by the library call each command reaches
     assert main(["density1d", "--N", "1", "--t", "0.5", "--c", "0.3"]) == 2
-    assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3,0.4"]) == 2
+    assert main(["density1d", "--N", "3", "--t", "0", "--c", "0.3"]) == 2
+    assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "1.5"]) == 2
+    assert main(["density2d", "--N", "2", "--t", "0.4", "--c", "0.3,0.2"]) == 2
     assert main(["density2d", "--N", "4", "--t", "0.4", "--c", "0.8,0.9"]) == 2
+    assert main(["coeffs", "--N", "4", "--c", "2"]) == 2
+    assert main(["simulate", "--N", "3", "--k", "1", "--t", "0.5", "--c", "2.0", out]) == 2
+    assert main(["simulate", "--N", "3", "--k", "2", "--t", "0.5", "--c", "0.7,0.5", out]) == 2
+    # refused by the command line itself
+    assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3,0.4"]) == 2
+    assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3", "--grid", "1"]) == 2
+    assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "-1"]) == 2
     assert main(["laplace", "--N", "3", "--t", "0.3", "--c", "0.4", "--lambda", "50"]) == 2
-    assert main(["simulate", "--N", "3", "--k", "1", "--t", "0.5", "--c", "2.0",
-                 "--out", str(tmp_path / "x.csv")]) == 2
 
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulate ran before --out - was refused")
@@ -135,13 +151,6 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-
-
-def test_run_rejects_unknown_manifest():
-    from jacobi_heat.cli import ManifestError
-
-    with pytest.raises(ManifestError):
-        run(RunManifest(command="bogus"))
 
 
 def test_version_flag(capsys):

@@ -57,6 +57,13 @@ def test_auto_truncation_refusals():
         auto_truncation(0.2, 3, -1.0)
     with pytest.raises(ValueError):
         auto_truncation(1e-9, 3, 1e-12)  # would need more than 1e5 modes
+    for N in (1, 0, -3):
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            auto_truncation(0.1, N, 1e-10)
+    with pytest.raises(ValueError, match="N must be >= 3"):
+        auto_truncation_2d(0.1, 2, 1e-10)
+    with pytest.raises(ValueError, match="t must be positive"):
+        auto_truncation_2d(float("nan"), 4, 1e-10)
 
 
 def test_auto_truncation_2d_refuses_where_the_tail_bound_overflows():
@@ -217,6 +224,28 @@ def test_eigen_transform_quadrature_follows_the_series_degree():
     assert eigen_transform_check(0, 1e-4, 0.3, 3) == pytest.approx(1.0, abs=1e-10)
 
 
+@given(
+    st.integers(0, 6),
+    st.floats(math.log(1e-4), math.log(1e-3)),
+    st.floats(0.0, 1.0),
+    st.integers(2, 10),
+)
+def test_eigen_transform_below_t_1e_3(n, log_t, c, N):
+    t = math.exp(log_t)
+    want = math.exp(-eigenvalue(n, N) * t) * jacobi_p(n, (N - 2.0, 0.0), 2.0 * c - 1.0)
+    # 4e-9 covers the Gauss-Jacobi rule, whose hundreds of nodes integrate the mass
+    # at u = 0 to 1.1e-9 at worst (c = 0); the second term is the rounding of the
+    # series, eps times its coefficients weighted by the mode norms, which reaches
+    # 0.2 at c = 1, N = 10, t = 1e-4, where the check is off by 2e-4
+    tr = auto_truncation(t, N, 1e-13)
+    m = np.arange(tr.n_max + 1)
+    pc = jacobi_table(tr.n_max, N - 2.0, 0.0, 2.0 * c - 1.0)
+    coeffs = np.exp(-m * (m + N - 1.0) * t) * np.sqrt(2.0 * m + N - 1.0) * np.abs(pc)
+    rounding = np.finfo(float).eps * coeffs.sum() / math.sqrt(2 * n + N - 1)
+    got = eigen_transform_check(n, t, c, N)
+    assert abs(got - want) <= 4e-9 * max(1.0, abs(want)) + rounding
+
+
 def test_chapman_kolmogorov_reference_case():
     lhs, rhs = chapman_kolmogorov_check(0.25, 0.25, 0.2, 0.6, 3)
     assert abs(lhs - rhs) <= 1e-8
@@ -269,7 +298,7 @@ def test_density_2d_marginal_matches_1d_and_ignores_c2():
     inner = gauss_jacobi_rule(48, N - 3.0, 0.0)
     tr2 = auto_truncation_2d(t, N, 1e-12)
     tr1 = auto_truncation(t, N, 1e-12)
-    pts = np.column_stack([np.full(len(inner), u1), (1.0 - u1) * inner.nodes])
+    pts = np.column_stack([np.full(len(inner.nodes), u1), (1.0 - u1) * inner.nodes])
     marginals = []
     for c2 in (0.05, 0.3, 0.6):
         series, _ = kernel_series_2d(t, (0.3, c2), pts, N, tr2.n_max)
@@ -288,6 +317,25 @@ def test_density_2d_reversibility():
     lhs = density_2d_values(t, c, [u], N, tr)[0] * sc
     rhs = density_2d_values(t, u, [c], N, tr)[0] * su
     assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+@pytest.mark.parametrize("c", [(1.0, 0.0), (0.0, 1.0), (0.2, 0.3)])
+def test_kernel_series_2d_is_the_simplex_q_sum(c):
+    N, t, n_max = 4, 0.2, 8
+    pts = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.3, 0.5), (0.6, 0.1)]
+    got, _ = kernel_series_2d(t, c, pts, N, n_max)
+    want = [
+        sum(
+            math.exp(-eigenvalue(n, N) * t)
+            * simplex_q((n, j), N, c)
+            * simplex_q((n, j), N, u)
+            / simplex_q_norm_sq((n, j), N)
+            for n in range(n_max + 1)
+            for j in range(n + 1)
+        )
+        for u in pts
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_density_2d_boundary_evaluation():
@@ -311,14 +359,14 @@ def _marginal_cases(draw):
     return N, t, (c1, c2), u1
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(_marginal_cases())
 def test_density_2d_u2_marginal_is_the_1d_density(case):
     N, t, c, u1 = case
     tr2 = auto_truncation_2d(t, N, 1e-12)
     # the series is a polynomial of degree n_max in u2, which this rule integrates exactly
     inner = gauss_jacobi_rule(tr2.n_max // 2 + 1, N - 3.0, 0.0)
-    pts = np.column_stack([np.full(len(inner), u1), (1.0 - u1) * inner.nodes])
+    pts = np.column_stack([np.full(len(inner.nodes), u1), (1.0 - u1) * inner.nodes])
     series, _ = kernel_series_2d(t, c, pts, N, tr2.n_max)
     marginal = (1.0 - u1) ** (N - 2) * float(np.dot(inner.weights, series))
     want = float(density_1d_values(t, c[0], u1, N, auto_truncation(t, N, 1e-12)))

@@ -11,7 +11,6 @@ from jacobi_heat.sde import (
     SdeConfig,
     _diffusion_increment,
     density_ks_check,
-    export_csv,
     generator_moment_check,
     simulate,
 )
@@ -34,6 +33,8 @@ def test_start_point_validation():
     cfg = SdeConfig(N=4, k=2, t_final=0.2, dt=1e-3, paths=5, seed=1)
     with pytest.raises(ValueError):
         simulate(cfg, np.array([0.7, 0.5]))
+    with pytest.raises(ValueError):
+        simulate(cfg, np.array([np.nan, 0.2]))
     with pytest.raises(ValueError):
         simulate(cfg, np.array([0.2]))
     with pytest.raises(ValueError):
@@ -242,16 +243,3 @@ def test_generator_moment_check_cross_term():
     assert abs(chk.lhs - chk.rhs) <= chk.band
     with pytest.raises(ValueError):
         generator_moment_check(cfg, np.array([0.3, 0.2]), SimplexPolynomial({(3, 2): 1.0}, 2))
-
-
-def test_export_csv_roundtrip(tmp_path):
-    cfg = SdeConfig(N=3, k=2, t_final=0.2, dt=1e-3, paths=50, seed=2)
-    ens = simulate(cfg, np.array([0.4, 0.3]))
-    out = tmp_path / "ens.csv"
-    export_csv(ens, out)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# jacobi-heat")
-    assert lines[1].startswith("#") and "seed=2" in lines[1]
-    assert lines[2] == "u1,u2"
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[3:]])
-    np.testing.assert_array_equal(data, ens.terminal_points)

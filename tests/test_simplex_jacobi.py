@@ -3,8 +3,6 @@ import pytest
 
 from jacobi_heat.quadrature import simplex_rule_2
 from jacobi_heat.simplex_jacobi import (
-    SimplexIndex,
-    SimplexPoint,
     koornwinder_c,
     simplex_q,
     simplex_q_norm_sq,
@@ -16,15 +14,19 @@ from oracles import jacobi_2f1
 
 
 def test_index_and_point_validation():
-    with pytest.raises(ValueError):
-        SimplexIndex(2, 3)
-    with pytest.raises(ValueError):
-        SimplexPoint(0.0, 0.3)  # boundary needs the flag
-    SimplexPoint(0.0, 0.3, boundary_ok=True)
-    with pytest.raises(ValueError):
-        SimplexPoint(0.6, 0.5, boundary_ok=True)
-    with pytest.raises(ValueError):
-        simplex_q((1, 0), 4, (0.7, 0.4))
+    for idx in [(2, 3), (2, -1)]:
+        with pytest.raises(ValueError):
+            simplex_q(idx, 4, (0.2, 0.3))
+        with pytest.raises(ValueError):
+            simplex_q_norm_sq(idx, 4)
+        with pytest.raises(ValueError):
+            simplex_q_polynomial(idx, 4)
+    # the closed simplex is accepted, up to 1e-12 of rounding
+    assert simplex_q((1, 0), 4, (0.0, 0.3)) == jacobi_p(1, (2.0, 0.0), -1.0)
+    assert np.isfinite(simplex_q((2, 1), 4, (0.5, 0.5 + 1e-13)))
+    for p in [(0.7, 0.4), (0.6, 0.5), (-0.1, 0.3), (0.3, -1e-9), (float("nan"), 0.2)]:
+        with pytest.raises(ValueError):
+            simplex_q((1, 0), 4, p)
     with pytest.raises(ValueError):
         simplex_q((1, 0), 2, (0.2, 0.3))
 

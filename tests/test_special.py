@@ -5,8 +5,6 @@ import pytest
 
 from jacobi_heat.quadrature import gauss_jacobi_rule
 from jacobi_heat.special import (
-    JacobiParams,
-    ModelParams,
     bessel_j,
     eigenvalue,
     harmonic_dimension,
@@ -35,15 +33,11 @@ def test_pochhammer_rejects_bad_order():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        JacobiParams(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        JacobiParams(0.0, -1.5)
-    with pytest.raises(ValueError):
-        ModelParams(N=1, k=1)
-    with pytest.raises(ValueError):
-        ModelParams(N=4, k=4)
-    assert ModelParams(N=4, k=2).eigenvalue(3) == 18
+    for params in [(-1.0, 0.0), (0.0, -1.5), (float("nan"), 0.0)]:
+        with pytest.raises(ValueError):
+            jacobi_p(2, params, 0.3)
+        with pytest.raises(ValueError):
+            jacobi_p_normalized(2, params, 0.3)
 
 
 def test_jacobi_degree_zero_and_one():
@@ -195,7 +189,7 @@ def test_eigenvalue_values():
     assert eigenvalue(0, 7) == 0
     assert eigenvalue(1, 6) == 6
     assert eigenvalue(2, 4) == 10
-    assert eigenvalue(2, ModelParams(N=4, k=1)) == 10
+    assert eigenvalue(3, 4) == 18
 
 
 def test_harmonic_dimension_values():
