@@ -243,3 +243,20 @@ def test_generator_moment_check_cross_term():
     assert abs(chk.lhs - chk.rhs) <= chk.band
     with pytest.raises(ValueError):
         generator_moment_check(cfg, np.array([0.3, 0.2]), SimplexPolynomial({(3, 2): 1.0}, 2))
+
+
+def test_export_csv_roundtrip(tmp_path):
+    from jacobi_heat.cli import main
+
+    cfg = SdeConfig(N=3, k=2, t_final=0.2, dt=1e-3, paths=50, seed=2)
+    ens = simulate(cfg, np.array([0.4, 0.3]))
+    out = tmp_path / "ens.csv"
+    code = main(["simulate", "--N", "3", "--k", "2", "--t", "0.2", "--c", "0.4,0.3",
+                 "--paths", "50", "--dt", "1e-3", "--seed", "2", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# jacobi-heat")
+    assert lines[1].startswith("#") and "seed=2" in lines[1]
+    assert lines[2] == "u1,u2"
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[3:]])
+    np.testing.assert_array_equal(data, ens.terminal_points)
