@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex_jacobi import _in_closed_simplex
-from .special import eigenvalue, jacobi_table
+from .special import _jacobi_step, eigenvalue, jacobi_table
 
 __all__ = [
     "Truncation",
@@ -180,30 +180,59 @@ def kernel_series_2d(t, c, pts, N, n_max):
     """Kernel part of the 2-simplex density at points pts (shape (M, 2)).
 
     Sums e^{-n(n+N-1)t} Q_{n-j,j}(c) Q_{n-j,j}(u) / ||Q_{n-j,j}||^2 over all
-    n <= n_max, 0 <= j <= n.  Returns (values, last_shell_max).
+    n <= n_max, 0 <= j <= n.  With m = n - j, Q_{m,j}(u) is the outer factor
+    P_m^{N-2+2j,0}(2u1-1), which depends on u1 alone, times the inner factor
+    (1-u1)^j P_j^{N-3,0}(2u2/(1-u1)-1).  One forward recurrence in m runs the
+    outer factors of every j <= n_max - m at once, at the distinct u1 values
+    only (the start point's among them), and accumulates
+    S[j, g] = sum_m w_{m+j,j} P_m^{N-2+2j,0} at c1 and at the g-th u1.  A
+    point's value is the sum over j of S[j, g] times its inner factor and the
+    start point's, added in j order: it depends on that point alone, so any
+    subset or order of the points gives the same bits.  Returns (values,
+    last_shell_max).
     """
-    # c is point 0, so one recurrence per j evaluates the start point and every u
+    # c is point 0, so one table evaluates the inner factors of the start point and every u
     cu = np.vstack([c, np.reshape(pts, (-1, 2))], dtype=float)
     u1 = cu[:, 0]
     u2 = cu[:, 1]
-    x = 2.0 * u1 - 1.0
     rem = 1.0 - u1
     safe = rem > 1e-300
     z = np.where(safe, np.clip(2.0 * u2 / np.where(safe, rem, 1.0) - 1.0, -1.0, 1.0), 1.0)
-
     ns = np.arange(n_max + 1)
-    decay = np.exp(-ns * (ns + N - 1.0) * t)
-    inner_all = jacobi_table(n_max, N - 3.0, 0.0, z)
+    # rem^0 = 1 at u1 = 1 too, where z = 1 keeps the table finite
+    inner = jacobi_table(n_max, N - 3.0, 0.0, z)
+    inner *= rem ** ns[:, None]
 
-    total = np.zeros(len(cu) - 1)
-    shell = np.zeros(len(cu) - 1)
+    u1g, inv = np.unique(u1, return_inverse=True)
+    x = 2.0 * u1g - 1.0
+    decay = np.exp(-ns * (ns + N - 1.0) * t)
+    # the outer recurrence, run with alpha = N-2+2j for every j at once
+    alpha = (N - 2.0 + 2.0 * ns)[:, None]
+    norm_c = (2.0 * ns + N - 2.0) * inner[:, 0]
+    S = np.zeros((n_max + 1, len(x)))
+    last = np.empty((n_max + 1, len(x)))  # row j: the j-term of shell n_max
+    prev, cur = None, np.ones((n_max + 1, len(x)))
+    for m in range(n_max + 1):
+        J = n_max + 1 - m  # the j with m + j <= n_max
+        a = alpha[:J]
+        if m == 1:
+            prev, cur = cur[:J], a + 1.0 + (a + 2.0) * (x - 1.0) / 2.0
+        elif m >= 2:
+            prev, cur = cur[:J], _jacobi_step(m, a, 0.0, x, cur[:J], prev[:J])
+        n = m + ns[:J]
+        w = decay[n] * (2.0 * n + N - 1.0) * norm_c[:J] * cur[:, inv[0]]
+        term = w[:, None] * cur
+        S[:J] += term
+        last[J - 1] = term[-1]
+
+    # add the j terms in order: sum(axis=0) adds pairwise when there is a single
+    # point, which would make a point's value depend on the other points
+    g = inv[1:]
+    total = np.zeros(len(g))
+    shell = np.zeros(len(g))
     for j in range(n_max + 1):
-        inner = np.where(safe, rem**j, 0.0) * inner_all[j] if j else np.ones(len(cu))
-        outer = jacobi_table(n_max - j, N - 2.0 + 2.0 * j, 0.0, x)
-        n = np.arange(j, n_max + 1)
-        w = decay[n] * (2.0 * n + N - 1.0) * (2.0 * j + N - 2.0) * outer[:, 0] * inner[0]
-        total += (w @ outer)[1:] * inner[1:]
-        shell += w[-1] * outer[-1, 1:] * inner[1:]
+        total += S[j, g] * inner[j, 1:]
+        shell += last[j, g] * inner[j, 1:]
     return total, float(np.max(np.abs(shell)))
 
 

@@ -1,8 +1,10 @@
 """Scalar special functions and Jacobi-polynomial evaluation.
 
-All routines are pure functions of their arguments.  Series are summed in
-double precision with Neumaier-compensated accumulation so that tail terms
-near truncation (~1e-16 of the head) are not lost.
+All routines are pure functions of their arguments.  The Bessel and
+confluent hypergeometric power series are summed with Neumaier-compensated
+accumulation (CompensatedSum).  Jacobi polynomials come from the plain
+three-term recurrence; the heat-kernel series built on them (heat_kernel)
+are summed in ordinary double precision.
 """
 
 import math
@@ -71,12 +73,21 @@ def jacobi_table(n_max, alpha, beta, x):
         return out
     out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
     for n in range(2, n_max + 1):
-        s = 2.0 * n + alpha + beta
-        c0 = 2.0 * n * (n + alpha + beta) * (s - 2.0)
-        c1 = (s - 1.0) * (s * (s - 2.0) * x + alpha * alpha - beta * beta)
-        c2 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s
-        out[n] = (c1 * out[n - 1] - c2 * out[n - 2]) / c0
+        out[n] = _jacobi_step(n, alpha, beta, x, out[n - 1], out[n - 2])
     return out
+
+
+def _jacobi_step(n, alpha, beta, x, p1, p2):
+    """P_n^{alpha,beta}(x) from p1 = P_{n-1} and p2 = P_{n-2}, for n >= 2.
+
+    alpha may be an array that broadcasts against x, which runs the
+    recurrence for several alpha at once.
+    """
+    s = 2.0 * n + alpha + beta
+    c0 = 2.0 * n * (n + alpha + beta) * (s - 2.0)
+    c1 = (s - 1.0) * (s * (s - 2.0) * x + alpha * alpha - beta * beta)
+    c2 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s
+    return (c1 * p1 - c2 * p2) / c0
 
 
 def jacobi_p(n, params, x):

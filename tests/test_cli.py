@@ -112,6 +112,28 @@ def test_simulate_csv(tmp_path):
     np.testing.assert_array_equal(rows, simulate(cfg, np.array([0.4, 0.3])).terminal_points)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density1d", "--N", "5", "--t", "0.01", "--c", "0.3", "--grid", "201"],
+        ["density2d", "--N", "4", "--t", "0.05", "--c", "0.3,0.2", "--grid", "23"],
+        ["coeffs", "--N", "4", "--c", "0.25", "--n-max", "20"],
+        ["simulate", "--N", "3", "--k", "2", "--t", "0.2", "--c", "0.4,0.3", "--paths", "50",
+         "--dt", "1e-2", "--seed", "3"],
+    ],
+)
+def test_csv_data_lines_are_17_digit_values(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = [line for line in out.read_text().split("\n")[:-1] if not line.startswith("#")]
+    for line in lines[1:]:
+        assert line == ",".join(format(float(v), ".17g") for v in line.split(","))
+    if argv[0] == "density2d":
+        axis = np.linspace(0.0, 1.0, 23)
+        nested = [(a, b) for a in axis for b in axis if a + b <= 1.0 + 1e-12]
+        np.testing.assert_array_equal(read_csv(out)[2][:, :2], nested)
+
+
 def test_validate_quick_report_and_determinism(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -338,6 +338,68 @@ def test_kernel_series_2d_is_the_simplex_q_sum(c):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _series_2d_terms(t, c, pts, N, n_max):
+    """Every (n, j) term of the 2-simplex kernel series, one row per term, one column per point."""
+    cu = np.vstack([c, pts])
+    u1, u2 = cu[:, 0], cu[:, 1]
+    rem = 1.0 - u1
+    # where rem = 0 the inner factor is rem^j P_j = 0 for j >= 1 whatever z is
+    z = np.clip(2.0 * u2 / np.where(rem > 0.0, rem, 1.0) - 1.0, -1.0, 1.0)
+    inner_table = jacobi_table(n_max, N - 3.0, 0.0, z)
+    rows = []
+    for j in range(n_max + 1):
+        outer = jacobi_table(n_max - j, N - 2.0 + 2.0 * j, 0.0, 2.0 * u1 - 1.0)
+        q = outer * (rem**j * inner_table[j])
+        n = np.arange(j, n_max + 1)
+        w = np.exp(-n * (n + N - 1.0) * t) * (2.0 * n + N - 1.0) * (2.0 * j + N - 2.0)
+        rows.append(w[:, None] * q[:, :1] * q[:, 1:])
+    return np.vstack(rows)
+
+
+_POINTS_2D = [(0.2, 0.3), (0.6, 0.1), (0.05, 0.9), (0.0, 0.0), (0.0, 1.0), (0.5, 0.5),
+              (0.999, 0.001), (1.0, 0.0), (0.2, 0.7)]
+
+
+@pytest.mark.parametrize("N", [3, 4, 6, 10])
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("c", [(0.2, 0.3), (1.0, 0.0), (0.35, 0.65)])
+def test_kernel_series_2d_matches_an_exactly_rounded_sum(N, t, c):
+    n_max = auto_truncation_2d(t, N, 1e-12).n_max
+    got, _ = kernel_series_2d(t, c, _POINTS_2D, N, n_max)
+    terms = _series_2d_terms(t, c, _POINTS_2D, N, n_max)
+    for i in range(len(_POINTS_2D)):
+        ref = math.fsum(terms[:, i])
+        assert abs(got[i] - ref) <= 8.0 * np.finfo(float).eps * float(np.abs(terms[:, i]).sum())
+
+
+def _points_sharing_u1():
+    axis = np.linspace(0.0, 1.0, 9)
+    grid = [(a, b) for a in axis for b in axis if a + b <= 1.0]
+    return np.array(grid + [(0.3, 0.05), (0.3, 0.6), (0.999, 0.001)])
+
+
+@pytest.mark.parametrize("N, t", [(4, 0.05), (6, 2e-3)])
+def test_kernel_series_2d_values_do_not_depend_on_the_other_points(N, t):
+    c, pts = (0.3, 0.2), _points_sharing_u1()
+    n_max = auto_truncation_2d(t, N, 1e-12).n_max
+    full, _ = kernel_series_2d(t, c, pts, N, n_max)
+    rng = np.random.default_rng(N)
+    order = rng.permutation(len(pts))
+    assert kernel_series_2d(t, c, pts[order], N, n_max)[0].tobytes() == full[order].tobytes()
+    for size in (2, 5, 17):
+        subset = rng.choice(len(pts), size=size, replace=False)
+        assert kernel_series_2d(t, c, pts[subset], N, n_max)[0].tobytes() == full[subset].tobytes()
+
+
+@pytest.mark.parametrize("N, t", [(4, 0.05), (6, 2e-3)])
+def test_kernel_series_2d_shared_u1_matches_one_point_calls(N, t):
+    c, pts = (0.3, 0.2), _points_sharing_u1()
+    n_max = auto_truncation_2d(t, N, 1e-12).n_max
+    full, _ = kernel_series_2d(t, c, pts, N, n_max)
+    one_at_a_time = np.array([kernel_series_2d(t, c, [p], N, n_max)[0][0] for p in pts])
+    assert full.tobytes() == one_at_a_time.tobytes()
+
+
 def test_density_2d_boundary_evaluation():
     N = 4
     tr = auto_truncation_2d(0.3, N, 1e-10)
