@@ -139,7 +139,7 @@ def kernel_series_1d(t, c, u, N, n_max, mode_factors=None):
     vals = (w @ table)[1:]
     last = w[-1] * table[-1, 1:]
     out = vals if np.ndim(u) else float(vals[0])
-    return out, float(np.max(np.abs(last)))
+    return out, float(np.max(np.abs(last), initial=0.0))
 
 
 def _check_last_term(last_term_max, tr, t, N):
@@ -233,7 +233,7 @@ def kernel_series_2d(t, c, pts, N, n_max):
     for j in range(n_max + 1):
         total += S[j, g] * inner[j, 1:]
         shell += last[j, g] * inner[j, 1:]
-    return total, float(np.max(np.abs(shell)))
+    return total, float(np.max(np.abs(shell), initial=0.0))
 
 
 def density_2d_values(t, c, pts, N, tr):
@@ -242,7 +242,7 @@ def density_2d_values(t, c, pts, N, tr):
     Refuses t <= 0, N < 3, and c or any point outside the closed 2-simplex.
     """
     _require_time_and_dimension(t, N, 3)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = np.reshape(np.asarray(pts, dtype=float), (-1, 2))
     if not _in_closed_simplex(np.asarray(c, dtype=float)):
         raise ValueError(f"c = {tuple(c)} outside the closed 2-simplex")
     if not np.all(_in_closed_simplex(pts)):

@@ -151,10 +151,14 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
     onto the simplex whenever the coordinates sum above 1.  The ensemble is
     stepped in blocks of BLOCK_PATHS paths, each through every step before
     the next starts, so a block's state stays in cache.  Block b draws its
-    normals from a Philox generator keyed by (seed, b), so a path depends
-    only on the configuration, its block and its place in the block:
-    results are bit-identical for identical configurations, and the first
-    BLOCK_PATHS paths of any larger ensemble are the BLOCK_PATHS-path one.
+    normals from an SFC64 generator seeded by SeedSequence(seed,
+    spawn_key=(b,)), the b-th child of SeedSequence(seed).spawn, so a path
+    depends only on the configuration, its block and its place in the
+    block: results are bit-identical for identical configurations, and the
+    first BLOCK_PATHS paths of any larger ensemble are the BLOCK_PATHS-path
+    one.  The spawn key is hashed apart from the seed, so distinct (seed,
+    block) pairs get distinct streams; SeedSequence((seed, b)) would not
+    guarantee that, since it pads short entropy with zero words.
     """
     start = np.asarray(start, dtype=float)
     if start.shape != (cfg.k,):
@@ -174,7 +178,8 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
         dests.setdefault(step, []).append(snapshots[ts])
     for b, lo in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
         hi = min(lo + BLOCK_PATHS, cfg.paths)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed + (b << 64)))
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(b,))
+        rng = np.random.Generator(np.random.SFC64(seq))
         block_dests = {step: [a[lo:hi] for a in arrays] for step, arrays in dests.items()}
         _simulate_block(cfg, start, rng, hi - lo, n_steps, drift_only, block_dests)
     return PathEnsemble(terminal_points=terminal, config=cfg, snapshots=snapshots)

@@ -129,6 +129,19 @@ def test_density_query_validation():
     assert np.all(np.isfinite(density_2d_values(0.5, (1.0, 0.0), [(0.5, 0.5 + 1e-13)], 4, tr2)))
 
 
+def test_empty_point_sets_give_empty_densities():
+    tr1 = auto_truncation(0.5, 3, 1e-10)
+    tr2 = auto_truncation_2d(0.5, 4, 1e-10)
+    for u in ([], np.empty(0)):
+        assert density_1d_values(0.5, 0.3, u, 3, tr1).shape == (0,)
+        values, last = kernel_series_1d(0.5, 0.3, u, 3, tr1.n_max)
+        assert values.shape == (0,) and last == 0.0
+    for pts in ([], np.empty((0, 2))):
+        assert density_2d_values(0.5, (0.2, 0.2), pts, 4, tr2).shape == (0,)
+        values, last = kernel_series_2d(0.5, (0.2, 0.2), pts, 4, tr2.n_max)
+        assert values.shape == (0,) and last == 0.0
+
+
 def test_density_1d_stationary_limit():
     # only the constant mode survives: the Dirichlet weight times its normalizer
     N = 4

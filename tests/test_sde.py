@@ -75,11 +75,18 @@ def test_blocks_are_keyed_by_seed_and_block_only(k):
     assert np.array_equal(big.snapshots[0.01][:BLOCK_PATHS], one.snapshots[0.01])
 
 
+def _block(seed, b):
+    """Block b of an ensemble drawn with the given seed."""
+    cfg = SdeConfig(N=3, k=1, t_final=0.05, dt=5e-3, paths=(b + 1) * BLOCK_PATHS, seed=seed)
+    return simulate(cfg, np.array([0.4])).terminal_points[b * BLOCK_PATHS :]
+
+
 def test_blocks_draw_from_distinct_keys():
-    # two full blocks sharing a key would be bit-identical
-    cfg = SdeConfig(N=3, k=1, t_final=0.05, dt=5e-3, paths=2 * BLOCK_PATHS, seed=59)
-    pts = simulate(cfg, np.array([0.4])).terminal_points
-    assert not np.array_equal(pts[:BLOCK_PATHS], pts[BLOCK_PATHS:])
+    # two blocks sharing a key would be bit-identical; check_monte_carlo draws
+    # its ensembles from seeds seed..seed+3, and 2**32 + 5 differs from 5
+    # only above the low 32-bit word
+    for first, second in [((59, 0), (59, 1)), ((2024, 1), (2025, 0)), ((5, 1), (2**32 + 5, 0))]:
+        assert not np.array_equal(_block(*first), _block(*second)), (first, second)
 
 
 def test_short_last_block_stays_in_the_simplex():
