@@ -12,9 +12,9 @@ Carlo oracle.
 __version__ = "0.1.0"
 
 from .coefficients import (
-    CoefficientTable,
     closed_form_coefficient,
     inversion_term_identity,
+    laplace_quadrature,
     laplace_series,
     neumann_identity_residual,
     solve_coefficients,
@@ -36,7 +36,7 @@ from .operators import (
     script_l_k,
 )
 from .polynomials import SimplexPolynomial
-from .quadrature import QuadratureRule, SimplexRule2, gauss_jacobi_rule, integrate, simplex_rule_2
+from .quadrature import QuadratureRule, SimplexRule2, gauss_jacobi_rule, simplex_rule_2
 from .sde import PathEnsemble, SdeConfig, density_ks_check, generator_moment_check, simulate
 from .simplex_jacobi import (
     koornwinder_c,
@@ -48,9 +48,6 @@ from .special import (
     bessel_j,
     eigenvalue,
     harmonic_dimension,
-    hyp1f1,
-    jacobi_norm_sq_1d,
     jacobi_p,
-    jacobi_p_normalized,
     pochhammer,
 )

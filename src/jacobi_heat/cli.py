@@ -17,15 +17,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import closed_form_coefficient, laplace_series, solve_coefficients
-from .heat_kernel import (
-    auto_truncation,
-    auto_truncation_2d,
-    density_1d_values,
-    density_2d_values,
-    kernel_series_1d,
+from .coefficients import (
+    closed_form_coefficient,
+    laplace_quadrature,
+    laplace_series,
+    solve_coefficients,
 )
-from .quadrature import gauss_jacobi_rule
+from .heat_kernel import auto_truncation, auto_truncation_2d, density_1d_values, density_2d_values
 from .sde import SdeConfig, simulate
 from .validate import run_validation
 
@@ -104,11 +102,11 @@ def _run_coeffs(args):
     (c,) = _parse_c(args.c, 1)
     if n_max < 0:
         raise ValueError("coeffs needs n_max >= 0")
-    table = solve_coefficients(c, N, n_max)
+    a = solve_coefficients(c, N, n_max)
     rows = []
     for n in range(n_max + 1):
         cf = closed_form_coefficient(c, N, n)
-        rows.append((n, table.a[n], cf, abs(table.a[n] - cf)))
+        rows.append((n, a[n], cf, abs(a[n] - cf)))
     _write_csv(
         args.out,
         [f"command: coeffs N={N} c={c!r} n_max={n_max}"],
@@ -122,25 +120,13 @@ def _run_laplace(args):
     N, t, n_max = args.N, args.t, args.n_max
     (c,) = _parse_c(args.c, 1)
     lams = [float(v) for v in str(args.lam).split(",")]
-    if N < 2 or t <= 0.0 or not (0.0 <= c <= 1.0):
-        raise ValueError("laplace needs N >= 2, t > 0, c in [0, 1]")
-    if any(abs(lam) > 10.0 for lam in lams):
-        raise ValueError("|lambda| must be <= 10")
-    tr = auto_truncation(t, N, 1e-13)
-    # exact for the degree-n_max series times a degree-40 polynomial; that one
-    # matches e^{lambda u}, |lambda| <= 10, on [0, 1] to below 1e-30 of its size
-    rule = gauss_jacobi_rule(max(64, (tr.n_max + 40) // 2 + 1), N - 2.0, 0.0)
-    series_u, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
-    rows = []
-    for lam in lams:
-        val = laplace_series(c, lam, t, N, n_max)
-        quad = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * series_u))
-        rows.append((lam, val, quad, abs(val - quad)))
+    quad = laplace_quadrature(c, lams, t, N)
+    series = [laplace_series(c, lam, t, N, n_max) for lam in lams]
     _write_csv(
         args.out,
         [f"command: laplace N={N} t={t!r} c={c!r} n_max={n_max}"],
         ["lambda", "series", "quadrature", "abs_diff"],
-        rows,
+        np.column_stack([lams, series, quad, np.abs(np.subtract(series, quad))]),
     )
     return 0
 

@@ -10,45 +10,28 @@ density tie them back to the spectral expansion.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import hyp1f1
 
-from .special import CompensatedSum, bessel_j, hyp1f1, jacobi_p, jacobi_table, pochhammer
+from .heat_kernel import _require_time_and_dimension, auto_truncation, kernel_series_1d
+from .quadrature import gauss_jacobi_rule
+from .special import bessel_j, jacobi_p, jacobi_table, pochhammer
 
 __all__ = [
-    "CoefficientTable",
     "solve_coefficients",
     "closed_form_coefficient",
     "neumann_identity_residual",
     "laplace_series",
+    "laplace_quadrature",
     "inversion_term_identity",
 ]
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Solved coefficients a_0..a_n_max for a fixed start point c and dimension N."""
-
-    c: float
-    N: int
-    a: np.ndarray
-
-    def __post_init__(self):
-        if not (0.0 <= self.c <= 1.0):
-            raise ValueError(f"c must lie in [0, 1], got {self.c}")
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if abs(self.a[0] - 1.0) > 1e-15:
-            raise ValueError("a_0 must equal 1")
-
-
-def _pochhammer_int(a, m):
-    out = 1
-    for i in range(m):
-        out *= a + i
-    return out
+def _require_start(c):
+    if not (0.0 <= c <= 1.0):
+        raise ValueError(f"c must lie in [0, 1], got {c}")
 
 
 def solve_coefficients(c, N, n_max):
@@ -62,8 +45,7 @@ def solve_coefficients(c, N, n_max):
     all relative accuracy wherever the solution passes near zero, because
     the binomial row entries dwarf the entry being solved for.
     """
-    if not (0.0 <= c <= 1.0):
-        raise ValueError(f"c must lie in [0, 1], got {c}")
+    _require_start(c)
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     c_exact = Fraction(c)
@@ -73,9 +55,10 @@ def solve_coefficients(c, N, n_max):
         rhs *= Fraction(c_exact, p)
         row = rhs
         for n in range(p):
-            row -= a[n] * Fraction(math.comb(p, n), _pochhammer_int(N + 2 * n, p - n))
+            # (N+2n)_{p-n} = (N+n+p-1)! / (N+2n-1)!
+            row -= a[n] * Fraction(math.comb(p, n), math.perm(N + n + p - 1, p - n))
         a.append(row)
-    return CoefficientTable(c=float(c), N=int(N), a=np.array([float(v) for v in a]))
+    return np.array([float(v) for v in a])
 
 
 def closed_form_coefficient(c, N, n):
@@ -92,39 +75,66 @@ def neumann_identity_residual(c, N, x, n_max):
     """
     if abs(x) > 5.0:
         raise ValueError(f"|x| must be <= 5 for the residual check, got {x}")
-    acc = CompensatedSum()
-    for n in range(n_max + 1):
-        acc.add(
-            closed_form_coefficient(c, N, n)
-            / math.factorial(n)
-            * math.gamma(N + 2.0 * n)
-            * (-1.0) ** n
-            * bessel_j(2 * n + N - 1.0, x)
-        )
+    total = math.fsum(
+        closed_form_coefficient(c, N, n)
+        / math.factorial(n)
+        * math.gamma(N + 2.0 * n)
+        * (-1.0) ** n
+        * bessel_j(2 * n + N - 1.0, x)
+        for n in range(n_max + 1)
+    )
     rhs = bessel_j(0.0, math.sqrt(c) * x) * (0.5 * x) ** (N - 1)
-    return abs(acc.value - rhs)
+    return abs(total - rhs)
 
 
 def laplace_series(c, lam, t, N, n_max):
     """Laplace transform of the 1-D density at time t, as a coefficient series.
 
-    Computes sum_n a_n e^{-n(n+N-1)t} lam^n 1F1(n+1, N+2n, lam) with the
-    closed-form coefficients.  Times follow the canonical clock in which the
-    degree-n mode decays at rate n(n+N-1); the alternative normalization that
-    divides rates by N corresponds to rescaling t by N before calling this.
-    Matches the quadrature of e^{lam*u} f_t(c, u) du.
+    Computes sum_n a_n e^{-n(n+N-1)t} lam^n 1F1(n+1, N+2n, lam) for
+    n = 0..n_max with the closed-form coefficients.  Times follow the
+    canonical clock in which the degree-n mode decays at rate n(n+N-1); the
+    alternative normalization that divides rates by N corresponds to
+    rescaling t by N before calling this.  Matches laplace_quadrature.
+    Refuses c outside [0, 1], N < 2, t <= 0 and n_max < 0.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    xs = 2.0 * c - 1.0
-    pc = jacobi_table(n_max, N - 2.0, 0.0, np.asarray(xs))
-    acc = CompensatedSum()
+    _require_time_and_dimension(t, N, 2)
+    _require_start(c)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    pc = jacobi_table(n_max, N - 2.0, 0.0, np.asarray(2.0 * c - 1.0))
+    terms = []
     lam_pow = 1.0
     for n in range(n_max + 1):
         a_n = float(pc[n]) / pochhammer(N + n - 1.0, n)
-        acc.add(a_n * math.exp(-n * (n + N - 1.0) * t) * lam_pow * hyp1f1(n + 1.0, N + 2.0 * n, lam))
+        decay = math.exp(-n * (n + N - 1.0) * t)
+        terms.append(a_n * decay * lam_pow * hyp1f1(n + 1.0, N + 2.0 * n, lam))
         lam_pow *= lam
-    return acc.value
+    return math.fsum(terms)
+
+
+def _laplace_rule(degree, N):
+    """Gauss-Jacobi rule against (1-u)^{N-2} for a degree-`degree` polynomial times e^{lam u}.
+
+    The rule is exact for that polynomial times a degree-40 one, which matches
+    e^{lam u}, |lam| <= 10, on [0, 1] to below 1e-30 of its size.
+    """
+    return gauss_jacobi_rule(max(64, (degree + 40) // 2 + 1), N - 2.0, 0.0)
+
+
+def laplace_quadrature(c, lams, t, N):
+    """Quadrature of e^{lam u} f_t(c, u) du over [0, 1] for each lam in lams.
+
+    The density series is cut where its certified tail falls below 1e-13 and
+    integrated by a rule sized from its degree.  Refuses c outside [0, 1],
+    N < 2, t <= 0 and any lam with |lam| > 10 (or NaN).
+    """
+    _require_start(c)
+    if not all(abs(lam) <= 10.0 for lam in lams):
+        raise ValueError(f"|lambda| must be <= 10, got {list(lams)}")
+    tr = auto_truncation(t, N, 1e-13)
+    rule = _laplace_rule(tr.n_max, N)
+    series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
+    return np.array([np.dot(rule.weights, np.exp(lam * rule.nodes) * series) for lam in lams])
 
 
 def inversion_term_identity(n, c, N, lam):
@@ -132,16 +142,12 @@ def inversion_term_identity(n, c, N, lam):
 
     lhs = a_n lam^n 1F1(n+1, N+2n, lam); rhs = (2n+N-1) P_n^{0,N-2}(1-2c)
     times the Gauss-Jacobi integral of e^{lam*u} P_n^{0,N-2}(1-2u) against
-    (1-u)^{N-2} du.  The (2n+N-1) factor is forced by the n = 0 case
-    1F1(1, N, lam) = (N-1) * int e^{lam*u} (1-u)^{N-2} du and by consistency
-    with the spectral form of the density.
+    (1-u)^{N-2} du, for |lam| <= 10.  The (2n+N-1) factor is forced by the
+    n = 0 case 1F1(1, N, lam) = (N-1) * int e^{lam*u} (1-u)^{N-2} du and by
+    consistency with the spectral form of the density.
     """
-    from .quadrature import gauss_jacobi_rule
-
     lhs = closed_form_coefficient(c, N, n) * lam**n * hyp1f1(n + 1.0, N + 2.0 * n, lam)
-    # exact for P_n times a degree-40 polynomial; that one matches e^{lam u},
-    # |lam| <= 10, on [0, 1] to below 1e-30 of its size
-    rule = gauss_jacobi_rule(max(64, (n + 40) // 2 + 1), N - 2.0, 0.0)
+    rule = _laplace_rule(n, N)
     pn = jacobi_table(n, 0.0, N - 2.0, 1.0 - 2.0 * rule.nodes)[n]
     integral = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * pn))
     rhs = (2 * n + N - 1) * jacobi_p(n, (0.0, N - 2.0), 1.0 - 2.0 * c) * integral

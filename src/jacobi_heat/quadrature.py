@@ -90,16 +90,3 @@ def simplex_rule_2(m, N):
         raise RuntimeError("simplex rule weights do not sum to the Dirichlet mass")
     return SimplexRule2(nodes=nodes, weights=weights)
 
-
-def integrate(rule, f):
-    """Apply a rule to a callable: sum_i w_i f(node_i).
-
-    For a QuadratureRule, f receives the node vector; for a SimplexRule2 it
-    receives the two coordinate vectors.  A NaN result signals an invalid
-    integrand and is propagated unchanged.
-    """
-    if isinstance(rule, SimplexRule2):
-        vals = np.asarray(f(rule.nodes[:, 0], rule.nodes[:, 1]), dtype=float)
-    else:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-    return float(np.dot(rule.weights, vals))

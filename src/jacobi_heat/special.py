@@ -1,10 +1,9 @@
 """Scalar special functions and Jacobi-polynomial evaluation.
 
-All routines are pure functions of their arguments.  The Bessel and
-confluent hypergeometric power series are summed with Neumaier-compensated
-accumulation (CompensatedSum).  Jacobi polynomials come from the plain
-three-term recurrence; the heat-kernel series built on them (heat_kernel)
-are summed in ordinary double precision.
+All routines are pure functions of their arguments.  The Bessel power
+series is summed exactly rounded by math.fsum.  Jacobi polynomials come from
+the plain three-term recurrence; the heat-kernel series built on them
+(heat_kernel) are summed in ordinary double precision.
 """
 
 import math
@@ -13,40 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "CompensatedSum",
     "pochhammer",
     "jacobi_table",
     "jacobi_p",
-    "jacobi_p_one",
-    "jacobi_p_normalized",
-    "jacobi_norm_sq_1d",
     "bessel_j",
-    "hyp1f1",
     "eigenvalue",
     "harmonic_dimension",
 ]
-
-
-class CompensatedSum:
-    """Neumaier compensated accumulator for streaming scalar sums."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self):
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x):
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self):
-        return self._s + self._c
 
 
 def pochhammer(a, m):
@@ -109,30 +81,12 @@ def jacobi_p(n, params, x):
     return float(val) if np.ndim(x) == 0 else val
 
 
-def jacobi_p_one(n, alpha, beta=0.0):
-    """Endpoint value P_n^{alpha,beta}(1) = (alpha+1)_n / n!."""
-    return pochhammer(alpha + 1.0, n) / math.factorial(n)
-
-
-def jacobi_p_normalized(n, params, x):
-    """P_n^{alpha,beta}(x) / P_n^{alpha,beta}(1); equals 1 at x = 1."""
-    return jacobi_p(n, params, x) / jacobi_p_one(n, *params)
-
-
-def jacobi_norm_sq_1d(n, N):
-    """Squared L2 norm 1/(2n+N-1) of u -> P_n^{N-2,0}(2u-1) against (1-u)^{N-2} du."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    return 1.0 / (2 * n + N - 1)
-
-
-def bessel_j(alpha, x, terms=None):
+def bessel_j(alpha, x):
     """Bessel function J_alpha(x) summed from its defining power series.
 
     Only the small-argument regime is supported: |x| > 30 is refused since
-    the alternating series is no longer safe in double precision there.
-    `terms` forces a fixed number of terms (used to probe series stability);
-    by default the sum stops at machine tolerance.
+    the alternating series is no longer safe in double precision there.  The
+    sum stops at machine tolerance.
     """
     if alpha < 0:
         raise ValueError(f"order must be nonnegative, got {alpha}")
@@ -140,35 +94,16 @@ def bessel_j(alpha, x, terms=None):
         raise OverflowError(f"|x| = {abs(x)} too large for the power series (limit 30)")
     half = 0.5 * x
     term = half**alpha / math.gamma(alpha + 1.0)
-    acc = CompensatedSum()
-    acc.add(term)
+    terms = [term]
+    running = term  # only for the stopping test
     q = half * half
-    n_terms = 500 if terms is None else int(terms)
-    for p in range(1, n_terms):
+    for p in range(1, 500):
         term *= -q / (p * (p + alpha))
-        acc.add(term)
-        if terms is None and abs(term) <= 1e-17 * max(abs(acc.value), 1e-300):
+        terms.append(term)
+        running += term
+        if abs(term) <= 1e-17 * max(abs(running), 1e-300):
             break
-    return acc.value
-
-
-def hyp1f1(a, b, lam):
-    """Confluent hypergeometric function 1F1(a; b; lam) by its power series.
-
-    The series is summed until the relative term size drops below 1e-17,
-    with a 10^4-term cap; b must not be a nonpositive integer.
-    """
-    if b <= 0 and b == int(b):
-        raise ValueError(f"1F1 undefined for nonpositive integer b = {b}")
-    acc = CompensatedSum()
-    term = 1.0
-    acc.add(term)
-    for n in range(10**4):
-        term *= (a + n) * lam / ((b + n) * (n + 1.0))
-        acc.add(term)
-        if abs(term) <= 1e-17 * max(abs(acc.value), 1e-300):
-            break
-    return acc.value
+    return math.fsum(terms)
 
 
 def eigenvalue(n, N):
@@ -179,15 +114,13 @@ def eigenvalue(n, N):
 def harmonic_dimension(n, N):
     """Dimension ((2n+N-1)/(N-1)) * ((N-1)_n / n!)^2 of the degree-n eigenspace.
 
-    Evaluated in exact rational arithmetic for integer inputs; the result is
-    checked to be an integer before conversion.
+    n and N are integers; the value is evaluated in exact rational arithmetic
+    and checked to be an integer before conversion.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    poch = 1
-    for i in range(n):
-        poch *= N - 1 + i
-    d = Fraction(2 * n + N - 1, N - 1) * Fraction(poch, math.factorial(n)) ** 2
+    # (N-1)_n = (N+n-2)! / (N-2)!
+    d = Fraction(2 * n + N - 1, N - 1) * Fraction(math.perm(N + n - 2, n), math.factorial(n)) ** 2
     if d.denominator != 1:
         raise ArithmeticError(f"eigenspace dimension is not integral: {d}")
     return float(d)

@@ -15,6 +15,7 @@ from . import __version__
 from .coefficients import (
     closed_form_coefficient,
     inversion_term_identity,
+    laplace_quadrature,
     laplace_series,
     neumann_identity_residual,
     solve_coefficients,
@@ -73,9 +74,9 @@ def check_coefficients():
     worst = 0.0
     for N in (2, 3, 5, 8):
         for c in C_GRID_1D:
-            table = solve_coefficients(c, N, 25)
+            a = solve_coefficients(c, N, 25)
             for n in range(26):
-                worst = max(worst, _rel(table.a[n], closed_form_coefficient(c, N, n)))
+                worst = max(worst, _rel(a[n], closed_form_coefficient(c, N, n)))
     yield _check(
         "coefficients.solve_vs_closed_form",
         {"N": [2, 3, 5, 8], "c": list(C_GRID_1D), "n_max": 25},
@@ -84,14 +85,14 @@ def check_coefficients():
     )
     worst = 0.0
     for N in (2, 3, 5, 8):
-        t0 = solve_coefficients(0.0, N, 25)
-        t1 = solve_coefficients(1.0, N, 25)
+        a0 = solve_coefficients(0.0, N, 25)
+        a1 = solve_coefficients(1.0, N, 25)
         for n in range(26):
-            worst = max(worst, _rel(t0.a[n], (-1.0) ** n / pochhammer(N + n - 1.0, n)))
+            worst = max(worst, _rel(a0[n], (-1.0) ** n / pochhammer(N + n - 1.0, n)))
             worst = max(
                 worst,
                 _rel(
-                    t1.a[n],
+                    a1[n],
                     pochhammer(N - 1.0, n)
                     / (math.factorial(n) * pochhammer(N + n - 1.0, n)),
                 ),
@@ -361,19 +362,16 @@ def check_face_identity():
 
 def check_laplace():
     worst = 0.0
+    lams = (-2.0, 0.0, 2.0, 5.0)
     for N in (3, 5):
-        rule = gauss_jacobi_rule(64, N - 2.0, 0.0)
         for t in (0.2, 0.5):
-            tr = auto_truncation(t, N, 1e-13)
-            for lam in (-2.0, 0.0, 2.0, 5.0):
-                for c in (0.3, 0.7):
-                    series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
-                    quad = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * series))
-                    val = laplace_series(c, lam, t, N, 60)
-                    worst = max(worst, abs(val - quad))
+            for c in (0.3, 0.7):
+                quad = laplace_quadrature(c, lams, t, N)
+                for lam, q in zip(lams, quad):
+                    worst = max(worst, abs(laplace_series(c, lam, t, N, 60) - q))
     yield _check(
         "laplace.series_vs_quadrature",
-        {"N": [3, 5], "t": [0.2, 0.5], "lambda": [-2.0, 0.0, 2.0, 5.0], "c": [0.3, 0.7]},
+        {"N": [3, 5], "t": [0.2, 0.5], "lambda": list(lams), "c": [0.3, 0.7]},
         worst,
         1e-8,
     )

@@ -2,13 +2,11 @@
 
 Nothing here goes through the package's recurrence/quadrature machinery:
 Jacobi polynomials come from the terminating hypergeometric sum, integrals
-from numpy's Gauss-Legendre nodes or from Beta/Dirichlet closed forms.
+from Beta/Dirichlet closed forms.
 """
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 
 def jacobi_2f1(n, alpha, beta, x):
@@ -45,9 +43,3 @@ def dirichlet_integral_2d(p, q, N):
         - math.lgamma(p + q + N)
     )
 
-
-def legendre_integral_01(f, m=64):
-    """integral of f over [0, 1] by numpy's Gauss-Legendre rule."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    u = 0.5 * (x + 1.0)
-    return 0.5 * float(np.dot(w, f(u)))

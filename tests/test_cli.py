@@ -159,11 +159,14 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert main(["coeffs", "--N", "4", "--c", "2"]) == 2
     assert main(["simulate", "--N", "3", "--k", "1", "--t", "0.5", "--c", "2.0", out]) == 2
     assert main(["simulate", "--N", "3", "--k", "2", "--t", "0.5", "--c", "0.7,0.5", out]) == 2
+    laplace = ["laplace", "--N", "3", "--t", "0.3", "--c", "0.4", "--lambda", "1"]
+    for flag, value in [("--N", "1"), ("--t", "nan"), ("--t", "0"), ("--c", "1.5"),
+                        ("--n-max", "-1"), ("--lambda", "50"), ("--lambda", "nan")]:
+        assert main(laplace + [flag, value, out]) == 2
     # refused by the command line itself
     assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3,0.4"]) == 2
     assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3", "--grid", "1"]) == 2
     assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "-1"]) == 2
-    assert main(["laplace", "--N", "3", "--t", "0.3", "--c", "0.4", "--lambda", "50"]) == 2
 
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulate ran before --out - was refused")

@@ -1,18 +1,18 @@
 import math
 
-import numpy as np
+import mpmath
 import pytest
+from scipy.special import hyp1f1
 
 from jacobi_heat.coefficients import (
     closed_form_coefficient,
     inversion_term_identity,
+    laplace_quadrature,
     laplace_series,
     neumann_identity_residual,
     solve_coefficients,
 )
-from jacobi_heat.heat_kernel import auto_truncation, kernel_series_1d
-from jacobi_heat.quadrature import gauss_jacobi_rule
-from jacobi_heat.special import hyp1f1, jacobi_p, pochhammer
+from jacobi_heat.special import jacobi_p, pochhammer
 
 
 def rel(a, b):
@@ -21,34 +21,33 @@ def rel(a, b):
 
 
 def test_solution_starts_at_one():
-    table = solve_coefficients(0.37, 5, 10)
-    assert table.a[0] == 1.0
+    assert solve_coefficients(0.37, 5, 10)[0] == 1.0
 
 
 def test_closed_forms_at_endpoints():
     for N in (2, 3, 5, 8):
-        t0 = solve_coefficients(0.0, N, 20)
-        t1 = solve_coefficients(1.0, N, 20)
+        a0 = solve_coefficients(0.0, N, 20)
+        a1 = solve_coefficients(1.0, N, 20)
         for n in range(21):
             want0 = (-1.0) ** n / pochhammer(N + n - 1.0, n)
             want1 = pochhammer(N - 1.0, n) / (math.factorial(n) * pochhammer(N + n - 1.0, n))
-            assert rel(t0.a[n], want0) <= 1e-12
-            assert rel(t1.a[n], want1) <= 1e-12
+            assert rel(a0[n], want0) <= 1e-12
+            assert rel(a1[n], want1) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_solve_matches_closed_form(N, c):
-    table = solve_coefficients(c, N, 25)
+    a = solve_coefficients(c, N, 25)
     for n in range(26):
-        assert rel(table.a[n], closed_form_coefficient(c, N, n)) <= 1e-9
+        assert rel(a[n], closed_form_coefficient(c, N, n)) <= 1e-9
 
 
 def test_solve_matches_closed_form_high_degree():
     for N in (2, 5):
-        table = solve_coefficients(0.5, N, 40)
+        a = solve_coefficients(0.5, N, 40)
         for n in range(41):
-            assert rel(table.a[n], closed_form_coefficient(0.5, N, n)) <= 1e-6
+            assert rel(a[n], closed_form_coefficient(0.5, N, n)) <= 1e-6
 
 
 def test_closed_form_basics():
@@ -61,10 +60,10 @@ def test_coefficient_boundedness_invariant():
     # |a_n| (N+n-1)_n = |P_n^{N-2,0}(2c-1)| <= P_n^{N-2,0}(1)
     for N in (3, 6):
         for c in (0.0, 0.3, 0.8, 1.0):
-            table = solve_coefficients(c, N, 20)
+            a = solve_coefficients(c, N, 20)
             for n in range(21):
                 bound = pochhammer(N - 1.0, n) / math.factorial(n)
-                assert abs(table.a[n]) * pochhammer(N + n - 1.0, n) <= bound * (1 + 1e-12)
+                assert abs(a[n]) * pochhammer(N + n - 1.0, n) <= bound * (1 + 1e-12)
 
 
 def test_reflection_route_consistency():
@@ -112,16 +111,55 @@ def test_laplace_short_time_limit():
 @pytest.mark.parametrize("lam", [-2.0, 2.0, 5.0])
 def test_laplace_matches_density_quadrature(N, lam):
     t, c = 0.3, 0.4
-    rule = gauss_jacobi_rule(64, N - 2.0, 0.0)
-    tr = auto_truncation(t, N, 1e-13)
-    series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
-    quad = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * series))
+    (quad,) = laplace_quadrature(c, [lam], t, N)
     assert abs(laplace_series(c, lam, t, N, 60) - quad) <= 1e-8
 
 
 def test_laplace_rejects_bad_time():
-    with pytest.raises(ValueError):
-        laplace_series(0.3, 1.0, 0.0, 3, 10)
+    for t in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            laplace_series(0.3, 1.0, t, 3, 10)
+        with pytest.raises(ValueError):
+            laplace_quadrature(0.3, [1.0], t, 3)
+
+
+def test_laplace_refuses_bad_input():
+    nan = float("nan")
+    # the series takes any lambda
+    for c, N, n_max in [(1.5, 3, 10), (-0.1, 3, 10), (nan, 3, 10), (0.3, 1, 10), (0.3, 3, -1)]:
+        with pytest.raises(ValueError):
+            laplace_series(c, 1.0, 0.3, N, n_max)
+    # the quadrature refuses any lambda outside [-10, 10]
+    for c, lam, N in [(1.5, 1.0, 3), (nan, 1.0, 3), (0.3, 1.0, 1), (0.3, 50.0, 3),
+                      (0.3, -10.5, 3), (0.3, nan, 3)]:
+        with pytest.raises(ValueError):
+            laplace_quadrature(c, [0.0, lam], 0.3, N)
+
+
+def test_laplace_terms_match_mpmath():
+    # the endpoint coefficients carry no rounding of their own, and at c = 0
+    # with lam < 0 or at c = 1 with lam > 0 every series term is positive, so
+    # both sides must hold to a few ulps
+    def term(c, N, n, lam):
+        a_n = mpmath.jacobi(n, N - 2, 0, 2 * c - 1) / mpmath.rf(N + n - 1, n)
+        return a_n * mpmath.mpf(lam) ** n * mpmath.hyp1f1(n + 1, N + 2 * n, lam)
+
+    with mpmath.workdps(40):
+        for N in (2, 3, 5):
+            for c in (0.0, 1.0):
+                for lam in (-10.0, -5.0, 5.0, 10.0):
+                    terms = [term(c, N, n, lam) for n in range(30)]
+                    for n in range(30):
+                        lhs, _ = inversion_term_identity(n, c, N, lam)
+                        assert abs(float(lhs) - terms[n]) <= 1e-14 * abs(terms[n])
+                    if (c == 1.0) != (lam > 0.0):
+                        continue
+                    for t in (0.05, 0.3, 1.0):
+                        want = mpmath.fsum(
+                            mpmath.exp(-n * (n + N - 1) * mpmath.mpf(t)) * terms[n]
+                            for n in range(30)
+                        )
+                        assert abs(laplace_series(c, lam, t, N, 29) - want) <= 1e-14 * want
 
 
 def test_laplace_relaxes_at_the_spectral_gap_rate():

@@ -8,7 +8,7 @@ from jacobi_heat.simplex_jacobi import (
     simplex_q_norm_sq,
     simplex_q_polynomial,
 )
-from jacobi_heat.special import jacobi_p, jacobi_p_one
+from jacobi_heat.special import jacobi_p
 
 from oracles import jacobi_2f1
 
@@ -68,8 +68,9 @@ def test_norm_sq_closed_form():
             for j in range(n + 1):
                 val = simplex_q_norm_sq((n, j), N)
                 assert val == pytest.approx(1.0 / ((2 * n + N - 1) * (2 * j + N - 2)))
-                ends = jacobi_p_one(n - j, N - 2.0 + 2 * j) * jacobi_p_one(j, N - 3.0)
-                rest = (N - 2) * (2 * n + N - 1) * jacobi_p_one(n, N - 2.0) ** 2
+                ends = jacobi_p(n - j, (N - 2.0 + 2 * j, 0.0), 1.0)
+                ends *= jacobi_p(j, (N - 3.0, 0.0), 1.0)
+                rest = (N - 2) * (2 * n + N - 1) * jacobi_p(n, (N - 2.0, 0.0), 1.0) ** 2
                 assert ends**2 / (rest * koornwinder_c(j, j, n, N)) == pytest.approx(val, rel=1e-10)
 
 
