@@ -100,8 +100,6 @@ def _run_density2d(args):
 def _run_coeffs(args):
     N, n_max = args.N, args.n_max
     (c,) = _parse_c(args.c, 1)
-    if n_max < 0:
-        raise ValueError("coeffs needs n_max >= 0")
     a = solve_coefficients(c, N, n_max)
     rows = []
     for n in range(n_max + 1):

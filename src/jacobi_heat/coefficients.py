@@ -48,6 +48,8 @@ def solve_coefficients(c, N, n_max):
     _require_start(c)
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     c_exact = Fraction(c)
     a = [Fraction(1)]
     rhs = Fraction(1)  # c^p / p!, updated per row
@@ -103,12 +105,11 @@ def laplace_series(c, lam, t, N, n_max):
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     pc = jacobi_table(n_max, N - 2.0, 0.0, np.asarray(2.0 * c - 1.0))
     terms = []
-    lam_pow = 1.0
+    ratio = 1.0  # lam^n / (N+n-1)_n, carried as one factor so neither part overflows
     for n in range(n_max + 1):
-        a_n = float(pc[n]) / pochhammer(N + n - 1.0, n)
         decay = math.exp(-n * (n + N - 1.0) * t)
-        terms.append(a_n * decay * lam_pow * hyp1f1(n + 1.0, N + 2.0 * n, lam))
-        lam_pow *= lam
+        terms.append(float(pc[n]) * ratio * decay * hyp1f1(n + 1.0, N + 2.0 * n, lam))
+        ratio *= lam * (N + n - 1.0) / ((N + 2.0 * n - 1.0) * (N + 2.0 * n))
     return math.fsum(terms)
 
 

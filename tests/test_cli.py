@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +160,7 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert main(["density2d", "--N", "2", "--t", "0.4", "--c", "0.3,0.2"]) == 2
     assert main(["density2d", "--N", "4", "--t", "0.4", "--c", "0.8,0.9"]) == 2
     assert main(["coeffs", "--N", "4", "--c", "2"]) == 2
+    assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "-1"]) == 2
     assert main(["simulate", "--N", "3", "--k", "1", "--t", "0.5", "--c", "2.0", out]) == 2
     assert main(["simulate", "--N", "3", "--k", "2", "--t", "0.5", "--c", "0.7,0.5", out]) == 2
     laplace = ["laplace", "--N", "3", "--t", "0.3", "--c", "0.4", "--lambda", "1"]
@@ -166,7 +170,6 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     # refused by the command line itself
     assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3,0.4"]) == 2
     assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3", "--grid", "1"]) == 2
-    assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "-1"]) == 2
 
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulate ran before --out - was refused")
@@ -176,6 +179,14 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second of import that every command would pay
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, jacobi_heat.cli; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_version_flag(capsys):

@@ -80,6 +80,8 @@ def test_table_validation():
         solve_coefficients(-0.1, 3, 5)
     with pytest.raises(ValueError):
         solve_coefficients(0.5, 1, 5)
+    with pytest.raises(ValueError):
+        solve_coefficients(0.3, 3, -1)
 
 
 def test_neumann_residual_vanishes_at_origin():
@@ -160,6 +162,15 @@ def test_laplace_terms_match_mpmath():
                             for n in range(30)
                         )
                         assert abs(laplace_series(c, lam, t, N, 29) - want) <= 1e-14 * want
+
+
+def test_laplace_series_stays_finite_at_high_degree():
+    # lam^n overflows and 1/(N+n-1)_n underflows long before these degrees
+    for c, lam, t, N, n_max in [(0.4, 10.0, 0.3, 3, 400), (0.4, 2.0, 0.3, 3, 1100),
+                                (0.4, 2.0, 1e-5, 3, 1100)]:
+        value = laplace_series(c, lam, t, N, n_max)
+        assert math.isfinite(value)
+        assert rel(value, laplace_series(c, lam, t, N, 60)) <= 1e-15
 
 
 def test_laplace_relaxes_at_the_spectral_gap_rate():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jacobi_heat.heat_kernel import Truncation, auto_truncation
+from jacobi_heat.heat_kernel import auto_truncation
 from jacobi_heat.operators import (
     face_derivative_identity,
     generalized_jacobi_op,
@@ -139,7 +139,7 @@ def test_operators_are_linear():
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("N", [4, 6])
 def test_graded_spectrum(k, N):
-    mat, exponents = operator_matrix(generalized_jacobi_op, k, N, 6)
+    mat, exponents = operator_matrix(k, N, 6)
     eigs = np.sort(np.linalg.eigvals(mat).real)
     expected = np.sort([-float(eigenvalue(sum(e), N)) for e in exponents])
     assert np.max(np.abs(eigs - expected)) <= 1e-9
@@ -152,41 +152,39 @@ def test_graded_spectrum(k, N):
 
 def test_heat_residual_single_mode():
     # with only the n <= 1 modes the residual is pure stencil error, tiny at dt = 1e-4
-    tr = Truncation(n_max=1, tol=1.0, achieved_bound=1.0)
-    res = heat_residual_1d(0.3, 0.5, 3, tr, np.linspace(0.0, 1.0, 21))
+    res = heat_residual_1d(0.3, 0.5, 3, 1, np.linspace(0.0, 1.0, 21))
     assert res <= 1e-10
 
 
 def test_heat_residual_reference_case():
-    tr = auto_truncation(0.3, 3, 1e-12)
-    res = heat_residual_1d(0.3, 0.5, 3, tr, np.linspace(0.0, 1.0, 41))
+    n_max = auto_truncation(0.3, 3, 1e-12).n_max
+    res = heat_residual_1d(0.3, 0.5, 3, n_max, np.linspace(0.0, 1.0, 41))
     assert res <= 1e-6
 
 
 def test_heat_residual_stationary_regime():
-    tr = auto_truncation(40.0, 4, 1e-12)
-    res = heat_residual_1d(40.0, 0.3, 4, tr, np.linspace(0.0, 1.0, 21))
+    n_max = auto_truncation(40.0, 4, 1e-12).n_max
+    res = heat_residual_1d(40.0, 0.3, 4, n_max, np.linspace(0.0, 1.0, 21))
     assert res <= 1e-12
 
 
 def test_heat_residual_requires_room_for_the_stencil():
-    tr = Truncation(n_max=2, tol=1.0, achieved_bound=1.0)
     with pytest.raises(ValueError):
-        heat_residual_1d(1e-4, 0.5, 3, tr, [0.5])
+        heat_residual_1d(1e-4, 0.5, 3, 2, [0.5])
 
 
 def test_face_identity_for_weight_and_weighted_polynomials():
     for k, N in [(2, 4), (3, 6)]:
         sk = dirichlet_weight_poly(k, N)
-        assert face_derivative_identity(sk, k, N)
+        assert face_derivative_identity(sk)
     f = SimplexPolynomial.variable(0, 2) * dirichlet_weight_poly(2, 5)
-    assert face_derivative_identity(f, 2, 5)
+    assert face_derivative_identity(f)
 
 
 def test_face_identity_fails_without_weight():
     # k = N-1: the weight is constant and boundary terms persist
-    assert not face_derivative_identity(SimplexPolynomial.variable(0, 2), 2, 3)
+    assert not face_derivative_identity(SimplexPolynomial.variable(0, 2))
 
 
 def test_face_identity_k1_is_vacuous():
-    assert face_derivative_identity(SimplexPolynomial.variable(0, 1), 1, 3)
+    assert face_derivative_identity(SimplexPolynomial.variable(0, 1))
