@@ -6,7 +6,9 @@ and library version; numbers are written with 17 significant digits so they
 round-trip exactly.  Each command hands its arguments to the library call it
 runs, which checks them; the command line checks only what no library call
 sees.  Exit codes: 0 success, 1 failed validation, 2 usage error, including
-any ValueError raised by a library check.
+any ValueError raised by a library check.  density1d, density2d, coeffs and
+simulate run on numpy alone; laplace and validate load scipy.special, and
+validate is imported only when it runs.
 """
 
 import argparse
@@ -25,7 +27,6 @@ from .coefficients import (
 )
 from .heat_kernel import auto_truncation, auto_truncation_2d, density_1d_values, density_2d_values
 from .sde import SdeConfig, simulate
-from .validate import run_validation
 
 
 def _open_out(path):
@@ -151,6 +152,8 @@ def _run_simulate(args):
 
 
 def _run_validate(args):
+    from .validate import run_validation  # validate loads scipy; no other command needs it
+
     report = run_validation(tier=args.tier, seed=args.seed)
     text = json.dumps(report, indent=2, sort_keys=True)
     fh = _open_out(args.out)

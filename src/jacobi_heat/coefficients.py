@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .heat_kernel import _require_time_and_dimension, auto_truncation, kernel_series_1d
 from .quadrature import gauss_jacobi_rule
@@ -97,8 +96,10 @@ def laplace_series(c, lam, t, N, n_max):
     canonical clock in which the degree-n mode decays at rate n(n+N-1); the
     alternative normalization that divides rates by N corresponds to
     rescaling t by N before calling this.  Matches laplace_quadrature.
-    Refuses c outside [0, 1], N < 2, t <= 0 and n_max < 0.
+    Refuses c outside [0, 1], N < 2, t not finite and positive, and n_max < 0.
     """
+    from scipy.special import hyp1f1
+
     _require_time_and_dimension(t, N, 2)
     _require_start(c)
     if n_max < 0:
@@ -127,7 +128,7 @@ def laplace_quadrature(c, lams, t, N):
 
     The density series is cut where its certified tail falls below 1e-13 and
     integrated by a rule sized from its degree.  Refuses c outside [0, 1],
-    N < 2, t <= 0 and any lam with |lam| > 10 (or NaN).
+    N < 2, t not finite and positive, and any lam with |lam| > 10 (or NaN).
     """
     _require_start(c)
     if not all(abs(lam) <= 10.0 for lam in lams):
@@ -147,6 +148,8 @@ def inversion_term_identity(n, c, N, lam):
     n = 0 case 1F1(1, N, lam) = (N-1) * int e^{lam*u} (1-u)^{N-2} du and by
     consistency with the spectral form of the density.
     """
+    from scipy.special import hyp1f1
+
     lhs = closed_form_coefficient(c, N, n) * lam**n * hyp1f1(n + 1.0, N + 2.0 * n, lam)
     rule = _laplace_rule(n, N)
     pn = jacobi_table(n, 0.0, N - 2.0, 1.0 - 2.0 * rule.nodes)[n]

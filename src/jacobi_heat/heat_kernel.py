@@ -60,8 +60,7 @@ class Truncation:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        _require_tolerance(self.tol)
 
 
 def _term_bound_1d(n, t, N):
@@ -77,9 +76,14 @@ def _term_bound_2d(n, t, N):
     return (N - 2) * _term_bound_1d(n, t, N)
 
 
+def _require_tolerance(tol):
+    # NaN passes a plain `tol <= 0` test and then defeats every stopping test
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def _auto_truncation(t, N, tol, term_bound):
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _require_tolerance(tol)
     bounds = [term_bound(0, t, N)]
     n = 0
     while True:
@@ -156,8 +160,8 @@ def _check_last_term(last_term_max, tr, t, N):
 
 
 def _require_time_and_dimension(t, N, N_min):
-    if not t > 0.0:
-        raise ValueError(f"t must be positive (t = 0 is a Dirac mass), got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be positive and finite (t = 0 is a Dirac mass), got {t}")
     if N < N_min:
         raise ValueError(f"N must be >= {N_min}, got {N}")
 
@@ -165,7 +169,7 @@ def _require_time_and_dimension(t, N, N_min):
 def density_1d_values(t, c, u, N, tr):
     """Vectorized 1-D density f_t(c, u) including the (1-u)^{N-2} weight.
 
-    Refuses t <= 0, N < 2, and c or any u outside [0, 1].
+    Refuses t not finite and positive, N < 2, and c or any u outside [0, 1].
     """
     _require_time_and_dimension(t, N, 2)
     u_arr = np.asarray(u, dtype=float)
@@ -239,7 +243,8 @@ def kernel_series_2d(t, c, pts, N, n_max):
 def density_2d_values(t, c, pts, N, tr):
     """Vectorized 2-D density including the (1-u1-u2)^{N-3} weight.
 
-    Refuses t <= 0, N < 3, and c or any point outside the closed 2-simplex.
+    Refuses t not finite and positive, N < 3, and c or any point outside the
+    closed 2-simplex.
     """
     _require_time_and_dimension(t, N, 3)
     pts = np.reshape(np.asarray(pts, dtype=float), (-1, 2))

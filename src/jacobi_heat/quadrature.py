@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,8 @@ def gauss_jacobi_rule(m, a, b):
 # cached behind a plain function, so that profilers still see every request
 @functools.cache
 def _gauss_jacobi_rule(m, a, b):
+    from scipy.special import roots_jacobi  # here, so that paths without a rule run on numpy alone
+
     if m < 1:
         raise ValueError(f"need at least one node, got m={m}")
     if a <= -1.0 or b <= -1.0:

@@ -29,9 +29,17 @@ __all__ = [
 BLOCK_PATHS = 1 << 14
 
 
+def _whole_steps(t, dt, what):
+    """The number of dt steps that reach t; refuses a t off the dt grid."""
+    x = t / dt
+    if not math.isfinite(x) or abs(x - round(x)) > 1e-9 * max(round(x), 1):
+        raise ValueError(f"{what} {t!r} is not a whole number of steps dt = {dt!r}")
+    return round(x)
+
+
 @dataclass(frozen=True)
 class SdeConfig:
-    """Simulation request; dt must resolve t_final (dt <= t_final / 10)."""
+    """Simulation request; dt must resolve t_final (dt <= t_final / 10) in whole steps."""
 
     N: int
     k: int
@@ -43,10 +51,11 @@ class SdeConfig:
     def __post_init__(self):
         if self.N < 2 or not (1 <= self.k <= self.N - 1):
             raise ValueError(f"need N >= 2 and 1 <= k <= N-1, got N={self.N}, k={self.k}")
-        if self.t_final <= 0.0 or self.dt <= 0.0:
-            raise ValueError("t_final and dt must be positive")
+        if not (0.0 < self.t_final < math.inf and 0.0 < self.dt < math.inf):
+            raise ValueError("t_final and dt must be positive and finite")
         if self.dt > self.t_final / 10.0:
             raise ValueError(f"dt = {self.dt} too coarse for t_final = {self.t_final}")
+        _whole_steps(self.t_final, self.dt, "t_final")
         if self.paths < 1:
             raise ValueError("paths must be positive")
         if not (0 <= self.seed < 2**64):
@@ -143,7 +152,8 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
     """Run the Euler-Maruyama scheme from a common start point.
 
     start: point of the closed simplex (length k)
-    snapshot_times: times at which copies of the ensemble are recorded
+    snapshot_times: times at which copies of the ensemble are recorded, each
+        a whole number of steps dt
     drift_only: disable the noise (test hook; the paths then follow the
         deterministic flow u' = 1 - N u)
 
@@ -166,12 +176,12 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
     if not (np.all(start >= 0.0) and start.sum() <= 1.0 + 1e-12):
         raise ValueError(f"start {start} outside the closed simplex")
 
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    n_steps = _whole_steps(cfg.t_final, cfg.dt, "t_final")
     terminal = np.empty((cfg.paths, cfg.k))
     snapshots = {}
     dests = {n_steps: [terminal]}  # step -> arrays that receive the state after it
     for ts in snapshot_times:
-        step = int(round(ts / cfg.dt))
+        step = _whole_steps(ts, cfg.dt, "snapshot time")
         if not (0 <= step <= n_steps):
             raise ValueError(f"snapshot time {ts} outside [0, t_final]")
         snapshots[ts] = np.empty((cfg.paths, cfg.k))
@@ -266,12 +276,15 @@ def generator_moment_check(cfg, start, test_poly):
 
     The time derivative uses snapshots of the same paths at t_final - 2*delta
     and t_final, centered at t_final - delta where the generator average is
-    taken.  Returns (lhs, rhs, band) where band combines three standard
-    errors of both sides with an allowance for the Euler and stencil biases.
+    taken.  delta is a whole number of steps, 5% of them but at least 10, so
+    every snapshot lies on the dt grid.  Returns (lhs, rhs, band) where band
+    combines three standard errors of both sides with an allowance for the
+    Euler and stencil biases.
     """
     if test_poly.total_degree() > 4:
         raise ValueError("test polynomial degree must be <= 4")
-    delta = max(0.05 * cfg.t_final, 10.0 * cfg.dt)
+    n_steps = _whole_steps(cfg.t_final, cfg.dt, "t_final")
+    delta = max(round(0.05 * n_steps), 10) * cfg.dt
     t2 = cfg.t_final
     t1 = cfg.t_final - delta
     t0 = cfg.t_final - 2.0 * delta

@@ -155,7 +155,10 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     out = f"--out={tmp_path / 'x.csv'}"
     # refused by the library call each command reaches
     assert main(["density1d", "--N", "1", "--t", "0.5", "--c", "0.3"]) == 2
-    assert main(["density1d", "--N", "3", "--t", "0", "--c", "0.3"]) == 2
+    for flag, value in [("--t", "0"), ("--t", "inf"), ("--t", "nan"), ("--tol", "nan"),
+                        ("--tol", "inf"), ("--tol", "0")]:
+        assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "0.3", flag, value]) == 2
+        assert main(["density2d", "--N", "4", "--t", "0.4", "--c", "0.3,0.2", flag, value]) == 2
     assert main(["density1d", "--N", "3", "--t", "0.5", "--c", "1.5"]) == 2
     assert main(["density2d", "--N", "2", "--t", "0.4", "--c", "0.3,0.2"]) == 2
     assert main(["density2d", "--N", "4", "--t", "0.4", "--c", "0.8,0.9"]) == 2
@@ -163,6 +166,10 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "-1"]) == 2
     assert main(["simulate", "--N", "3", "--k", "1", "--t", "0.5", "--c", "2.0", out]) == 2
     assert main(["simulate", "--N", "3", "--k", "2", "--t", "0.5", "--c", "0.7,0.5", out]) == 2
+    simulate_1d = ["simulate", "--N", "3", "--k", "1", "--c", "0.3", out]
+    for horizon in [["--t", "inf"], ["--t", "nan"], ["--t", "1.0", "--dt", "0.07"],
+                    ["--t", "0.5", "--dt", "inf"]]:
+        assert main(simulate_1d + horizon) == 2
     laplace = ["laplace", "--N", "3", "--t", "0.3", "--c", "0.4", "--lambda", "1"]
     for flag, value in [("--N", "1"), ("--t", "nan"), ("--t", "0"), ("--c", "1.5"),
                         ("--n-max", "-1"), ("--lambda", "50"), ("--lambda", "nan")]:
@@ -181,10 +188,27 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about a second of import that every command would pay
+def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
+    # scipy.special alone is most of a density request's start-up; only Gauss-Jacobi
+    # rules, the Laplace series and validate load it
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, jacobi_heat.cli; assert 'scipy.stats' not in sys.modules"
+    out = str(tmp_path / "x.csv")
+    code = f"""
+import sys
+import jacobi_heat, jacobi_heat.cli
+from jacobi_heat.cli import main
+runs = [
+    ["density1d", "--N=3", "--t=0.5", "--c=0.3", "--grid=11"],
+    ["density2d", "--N=4", "--t=0.4", "--c=0.3,0.2", "--grid=6"],
+    ["coeffs", "--N=4", "--c=0.25", "--n-max=10"],
+    ["simulate", "--N=3", "--k=2", "--t=0.2", "--c=0.4,0.3", "--paths=30", "--dt=1e-2"],
+]
+for argv in runs:
+    assert main(argv + ["--out={out}"]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert main(["laplace", "--N=3", "--t=0.3", "--c=0.4", "--lambda=1", "--out={out}"]) == 0
+"""
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -29,8 +29,9 @@ from jacobi_heat.special import eigenvalue, harmonic_dimension, jacobi_p, jacobi
 def test_truncation_validation():
     with pytest.raises(ValueError):
         Truncation(n_max=0, tol=1e-10, achieved_bound=0.0)
-    with pytest.raises(ValueError):
-        Truncation(n_max=3, tol=0.0, achieved_bound=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            Truncation(n_max=3, tol=tol, achieved_bound=0.0)
 
 
 def test_auto_truncation_reference_case():
@@ -53,8 +54,12 @@ def test_auto_truncation_large_time_single_mode():
 def test_auto_truncation_refusals():
     with pytest.raises(ValueError):
         auto_truncation(0.0, 3, 1e-10)
-    with pytest.raises(ValueError):
-        auto_truncation(0.2, 3, -1.0)
+    # a NaN tol passes a plain `<= 0` guard, scans 1e5 modes and then blames t
+    for t, tol in [(0.2, -1.0), (0.2, math.nan), (0.2, math.inf), (math.inf, 1e-10)]:
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            auto_truncation(t, 3, tol)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            auto_truncation_2d(t, 4, tol)
     with pytest.raises(ValueError):
         auto_truncation(1e-9, 3, 1e-12)  # would need more than 1e5 modes
     for N in (1, 0, -3):

@@ -27,6 +27,16 @@ def test_config_validation():
         SdeConfig(N=3, k=1, t_final=0.5, dt=1e-3, paths=0, seed=0)
     with pytest.raises(ValueError):
         SdeConfig(N=3, k=1, t_final=0.5, dt=1e-3, paths=10, seed=-1)
+    for t_final, dt in [(math.inf, 1e-3), (math.nan, 1e-3), (0.5, math.nan), (0.5, 0.0)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            SdeConfig(N=3, k=1, t_final=t_final, dt=dt, paths=10, seed=0)
+    # 1.0 / 0.07 = 14.29 steps would stop at t = 0.98
+    with pytest.raises(ValueError, match="whole number of steps"):
+        SdeConfig(N=3, k=1, t_final=1.0, dt=0.07, paths=10, seed=0)
+    # every horizon the package and its benchmark use lies on its grid
+    for steps in (20, 25, 65, 200, 800):
+        SdeConfig(N=3, k=1, t_final=steps * 1e-4, dt=1e-4, paths=10, seed=0)
+    SdeConfig(N=3, k=1, t_final=0.8, dt=1e-3, paths=10, seed=0)
 
 
 def test_start_point_validation():
@@ -39,6 +49,9 @@ def test_start_point_validation():
         simulate(cfg, np.array([0.2]))
     with pytest.raises(ValueError):
         simulate(cfg, np.array([0.2, 0.1]), snapshot_times=(0.5,))
+    for ts in (0.123456, math.nan):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate(cfg, np.array([0.2, 0.1]), snapshot_times=(ts,))
 
 
 def test_bit_identical_for_identical_configs():
@@ -238,6 +251,9 @@ def test_generator_moment_check_trivial_and_linear():
     const = SimplexPolynomial.constant(1.0, 2)
     chk = generator_moment_check(cfg, start, const)
     assert chk.lhs == 0.0 and chk.rhs == 0.0
+    # 5% of 310 steps is 15.5: the stencil takes whole steps, so its snapshots are on the grid
+    off = SdeConfig(N=4, k=2, t_final=0.31, dt=1e-3, paths=50, seed=17)
+    assert generator_moment_check(off, start, const).lhs == 0.0
     linear = SimplexPolynomial.variable(0, 2)
     chk = generator_moment_check(cfg, start, linear)
     assert abs(chk.lhs - chk.rhs) <= chk.band
