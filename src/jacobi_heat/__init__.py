@@ -24,10 +24,8 @@ from .heat_kernel import (
     TruncationWarning,
     auto_truncation,
     auto_truncation_2d,
-    chapman_kolmogorov_check,
     density_1d_values,
     density_2d_values,
-    eigen_transform_check,
 )
 from .operators import (
     face_derivative_identity,
@@ -36,18 +34,7 @@ from .operators import (
     script_l_k,
 )
 from .polynomials import SimplexPolynomial
-from .quadrature import QuadratureRule, SimplexRule2, gauss_jacobi_rule, simplex_rule_2
+from .quadrature import QuadratureRule, gauss_jacobi_rule, simplex_rule_2
 from .sde import PathEnsemble, SdeConfig, density_ks_check, generator_moment_check, simulate
-from .simplex_jacobi import (
-    koornwinder_c,
-    simplex_q,
-    simplex_q_norm_sq,
-    simplex_q_polynomial,
-)
-from .special import (
-    bessel_j,
-    eigenvalue,
-    harmonic_dimension,
-    jacobi_p,
-    pochhammer,
-)
+from .simplex_jacobi import simplex_q_polynomial
+from .special import bessel_j, eigenvalue, jacobi_p, pochhammer

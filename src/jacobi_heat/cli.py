@@ -12,6 +12,7 @@ validate is imported only when it runs.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -29,13 +30,19 @@ from .heat_kernel import auto_truncation, auto_truncation_2d, density_1d_values,
 from .sde import SdeConfig, simulate
 
 
-def _open_out(path):
-    return sys.stdout if path == "-" else open(path, "w", newline="")
+@contextlib.contextmanager
+def _output(path):
+    """The file every command writes to: stdout for "-", else path, closed on exit."""
+    fh = sys.stdout if path == "-" else open(path, "w", newline="")
+    try:
+        yield fh
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _write_csv(path, comments, header, rows):
-    fh = _open_out(path)
-    try:
+    with _output(path) as fh:
         fh.write(f"# jacobi-heat {__version__}\n")
         for line in comments:
             fh.write(f"# {line}\n")
@@ -43,9 +50,6 @@ def _write_csv(path, comments, header, rows):
         # "%.17g" % v writes the same bytes as format(v, ".17g") for every float
         line = ",".join(["%.17g"] * len(header)) + "\n"
         fh.writelines(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def _parse_c(value, expect):
@@ -155,13 +159,8 @@ def _run_validate(args):
     from .validate import run_validation  # validate loads scipy; no other command needs it
 
     report = run_validation(tier=args.tier, seed=args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    fh = _open_out(args.out)
-    try:
-        fh.write(text + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    with _output(args.out) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     failed = [c for c in report["checks"] if not c["pass"]]
     for c in failed:
         print(

@@ -43,6 +43,13 @@ def solve_coefficients(c, N, n_max):
     only in the final conversion.  Plain floating-point substitution loses
     all relative accuracy wherever the solution passes near zero, because
     the binomial row entries dwarf the entry being solved for.
+
+    The exact entries grow with p, so the cost grows far faster than the
+    row count.  |P_n^{N-2,0}| <= P_n^{N-2,0}(1) on [-1, 1] (Szego, since
+    N-2 >= 0), so |a_n| <= (N-1)_n / (n! (N+n-1)_n), a bound that falls
+    with n.  Once it is at most 2^-1075, half the smallest subnormal, a_n
+    and every later entry round to zero, so the solve stops there (n = 139
+    to 143 for N = 2 to 10) and the rest is 0.0.
     """
     _require_start(c)
     if N < 2:
@@ -52,14 +59,19 @@ def solve_coefficients(c, N, n_max):
     c_exact = Fraction(c)
     a = [Fraction(1)]
     rhs = Fraction(1)  # c^p / p!, updated per row
+    bound = Fraction(1)  # the bound on |a_p|
+    rounds_to_zero = Fraction(math.ulp(0.0)) / 2
     for p in range(1, n_max + 1):
+        bound *= Fraction((N + p - 2) ** 2, p * (N + 2 * p - 3) * (N + 2 * p - 2))
+        if bound <= rounds_to_zero:
+            break
         rhs *= Fraction(c_exact, p)
         row = rhs
         for n in range(p):
             # (N+2n)_{p-n} = (N+n+p-1)! / (N+2n-1)!
             row -= a[n] * Fraction(math.comb(p, n), math.perm(N + n + p - 1, p - n))
         a.append(row)
-    return np.array([float(v) for v in a])
+    return np.array([float(v) for v in a] + [0.0] * (n_max + 1 - len(a)))
 
 
 def closed_form_coefficient(c, N, n):

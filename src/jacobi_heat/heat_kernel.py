@@ -14,7 +14,7 @@ it spans a subspace of H_{n,n}, the harmonics of bidegree (n, n).  Against
 the uniform probability measure on the sphere, Cauchy-Schwarz bounds that
 subspace's reproducing kernel by the diagonal of H_{n,n}'s kernel, and U(N)
 acts transitively on the sphere, so that diagonal is the constant
-dim H_{n,n} = harmonic_dimension(n, N).  Multiplying by the Dirichlet
+dim H_{n,n} = ((2n+N-1)/(N-1)) ((N-1)_n / n!)^2.  Multiplying by the Dirichlet
 normalizer bounds the n-th term by (N-1) dim H_{n,n} e^{-n(n+N-1)t} for
 k = 1, which is _term_bound_1d, and by (N-1)(N-2) dim H_{n,n} e^{-n(n+N-1)t}
 for k = 2; the k = 2 bound is attained at the vertices (1, 0) and (0, 1).
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex_jacobi import _in_closed_simplex
 from .special import _jacobi_step, eigenvalue, jacobi_table
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "kernel_series_2d",
     "density_1d_values",
     "density_2d_values",
-    "eigen_transform_check",
-    "chapman_kolmogorov_check",
 ]
 
 MAX_MODES = 10**5
@@ -240,6 +237,12 @@ def kernel_series_2d(t, c, pts, N, n_max):
     return total, float(np.max(np.abs(shell), initial=0.0))
 
 
+def _in_closed_simplex(p):
+    """Mask of the points p[..., :2] in the closed 2-simplex, up to 1e-12 of rounding."""
+    slack = 1e-12
+    return (p[..., 0] >= -slack) & (p[..., 1] >= -slack) & (p[..., 0] + p[..., 1] <= 1.0 + slack)
+
+
 def density_2d_values(t, c, pts, N, tr):
     """Vectorized 2-D density including the (1-u1-u2)^{N-3} weight.
 
@@ -256,43 +259,3 @@ def density_2d_values(t, c, pts, N, tr):
     _check_last_term(last, tr, t, N)
     s2 = np.clip(1.0 - pts[:, 0] - pts[:, 1], 0.0, None) ** (N - 3)
     return series * s2
-
-
-def eigen_transform_check(n, t, c, N):
-    """Project the density on the n-th Jacobi mode by quadrature.
-
-    Returns the integral of P_n^{N-2,0}(2u-1) f_t(c, u) du, which the
-    spectral form predicts to be e^{-n(n+N-1)t} P_n^{N-2,0}(2c-1).
-    """
-    from .quadrature import gauss_jacobi_rule
-
-    tr = auto_truncation(t, N, 1e-13)
-    # the integrand has degree n_max + n, which this rule integrates exactly
-    rule = gauss_jacobi_rule(max(64, (tr.n_max + n) // 2 + 1), N - 2.0, 0.0)
-    series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
-    pn = jacobi_table(n, N - 2.0, 0.0, 2.0 * rule.nodes - 1.0)[n]
-    return float(np.dot(rule.weights, series * pn))
-
-
-def chapman_kolmogorov_check(t, s, c, u, N):
-    """Semigroup composition: compare int f_t(c, v) f_s(v, u) dv with f_{t+s}(c, u).
-
-    The v-integral is taken with Lebesgue measure; each density already
-    carries its own weight factor, so the Gauss-Jacobi rule absorbs the
-    (1-v)^{N-2} of the first factor and the second factor contributes its
-    weight at the fixed endpoint u.  Returns (lhs, rhs).
-    """
-    from .quadrature import gauss_jacobi_rule
-
-    if t <= 0.0 or s <= 0.0:
-        raise ValueError("both time arguments must be positive")
-    tr_t = auto_truncation(t, N, 1e-12)
-    tr_s = auto_truncation(s, N, 1e-12)
-    rule = gauss_jacobi_rule(max(64, (tr_t.n_max + tr_s.n_max) // 2 + 1), N - 2.0, 0.0)
-    first, _ = kernel_series_1d(t, c, rule.nodes, N, tr_t.n_max)
-    second, _ = kernel_series_1d(s, u, rule.nodes, N, tr_s.n_max)
-    s1_u = (1.0 - u) ** (N - 2)
-    lhs = float(np.dot(rule.weights, first * second)) * s1_u
-    tr_ts = auto_truncation(t + s, N, 1e-12)
-    rhs = float(density_1d_values(t + s, c, u, N, tr_ts))
-    return lhs, rhs

@@ -2,19 +2,12 @@
 
 SimplexPolynomial stores a k-variate polynomial as a map from exponent tuples
 to coefficients, which keeps the differential-operator algebra exact up to
-double-precision rounding; k = 1 is the univariate case.  The Jacobi
-coefficient expansions are plain numpy arrays in the monomial basis
-(ascending degree).
+double-precision rounding; k = 1 is the univariate case.
 """
 
 import numpy as np
 
-__all__ = [
-    "SimplexPolynomial",
-    "jacobi_coeffs",
-    "jacobi_shifted_coeffs",
-    "dirichlet_weight_poly",
-]
+__all__ = ["SimplexPolynomial", "dirichlet_weight_poly"]
 
 
 class SimplexPolynomial:
@@ -135,35 +128,6 @@ class SimplexPolynomial:
 
     def __repr__(self):
         return f"SimplexPolynomial(k={self.k}, terms={self.terms})"
-
-
-def jacobi_coeffs(n, alpha, beta):
-    """Monomial coefficients (ascending, in x) of P_n^{alpha,beta} on [-1, 1]."""
-    return _jacobi_coeff_recurrence(n, alpha, beta, np.array([-0.0, 1.0]))
-
-
-def jacobi_shifted_coeffs(n, alpha, beta):
-    """Monomial coefficients (ascending, in u) of P_n^{alpha,beta}(2u - 1)."""
-    return _jacobi_coeff_recurrence(n, alpha, beta, np.array([-1.0, 2.0]))
-
-
-def _jacobi_coeff_recurrence(n, alpha, beta, xc):
-    """Run the three-term recurrence on coefficient arrays; xc is the argument."""
-    P = np.polynomial.polynomial
-    prev = np.array([1.0])
-    if n == 0:
-        return prev
-    cur = P.polyadd([alpha + 1.0 - (alpha + beta + 2.0) / 2.0], (alpha + beta + 2.0) / 2.0 * xc)
-    for m in range(2, n + 1):
-        s = 2.0 * m + alpha + beta
-        c0 = 2.0 * m * (m + alpha + beta) * (s - 2.0)
-        lin = P.polyadd(s * (s - 2.0) * xc, [alpha * alpha - beta * beta])
-        nxt = P.polysub(
-            (s - 1.0) / c0 * P.polymul(lin, cur),
-            2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s / c0 * prev,
-        )
-        prev, cur = cur, nxt
-    return cur
 
 
 def dirichlet_weight_poly(k, N):

@@ -14,23 +14,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights exact to degree 2m-1 against (1-u)^a u^b on [0, 1]."""
+    """Nodes and weights of a rule on [0, 1] (nodes shape (m,)) or on the 2-simplex ((M, 2))."""
 
     nodes: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class SimplexRule2:
-    """Product rule on the 2-simplex against (1-u1-u2)^{N-3} du1 du2."""
-
-    nodes: np.ndarray  # shape (M, 2)
-    weights: np.ndarray
-
-
-def beta_integral(b, a):
-    """Euler Beta function B(b, a) = integral of u^{b-1}(1-u)^{a-1} over [0, 1]."""
-    return math.exp(math.lgamma(b) + math.lgamma(a) - math.lgamma(a + b))
 
 
 def gauss_jacobi_rule(m, a, b):
@@ -62,7 +49,7 @@ def _gauss_jacobi_rule(m, a, b):
             raise RuntimeError(f"node solver failed at node index {i}")
         if i and nodes[i] <= nodes[i - 1]:
             raise RuntimeError(f"node solver produced unordered node at index {i}")
-    total = beta_integral(b + 1.0, a + 1.0)
+    total = math.exp(math.lgamma(b + 1.0) + math.lgamma(a + 1.0) - math.lgamma(a + b + 2.0))
     if abs(weights.sum() - total) > 1e-12 * total:
         raise RuntimeError("quadrature weights do not sum to the Beta integral")
     nodes.flags.writeable = False
@@ -89,5 +76,5 @@ def simplex_rule_2(m, N):
     total = 1.0 / ((N - 1) * (N - 2))
     if abs(weights.sum() - total) > 1e-12 * total:
         raise RuntimeError("simplex rule weights do not sum to the Dirichlet mass")
-    return SimplexRule2(nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 

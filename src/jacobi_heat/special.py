@@ -7,7 +7,6 @@ the plain three-term recurrence; the heat-kernel series built on them
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +16,6 @@ __all__ = [
     "jacobi_p",
     "bessel_j",
     "eigenvalue",
-    "harmonic_dimension",
 ]
 
 
@@ -110,17 +108,3 @@ def eigenvalue(n, N):
     """Spectral decay rate n(n+N-1) of the degree-n mode."""
     return n * (n + N - 1)
 
-
-def harmonic_dimension(n, N):
-    """Dimension ((2n+N-1)/(N-1)) * ((N-1)_n / n!)^2 of the degree-n eigenspace.
-
-    n and N are integers; the value is evaluated in exact rational arithmetic
-    and checked to be an integer before conversion.
-    """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    # (N-1)_n = (N+n-2)! / (N-2)!
-    d = Fraction(2 * n + N - 1, N - 1) * Fraction(math.perm(N + n - 2, n), math.factorial(n)) ** 2
-    if d.denominator != 1:
-        raise ArithmeticError(f"eigenspace dimension is not integral: {d}")
-    return float(d)

@@ -23,10 +23,8 @@ from .coefficients import (
 from .heat_kernel import (
     auto_truncation,
     auto_truncation_2d,
-    chapman_kolmogorov_check,
     density_1d_values,
     density_2d_values,
-    eigen_transform_check,
     kernel_series_1d,
     kernel_series_2d,
 )
@@ -42,7 +40,7 @@ from .polynomials import SimplexPolynomial, dirichlet_weight_poly
 from .quadrature import gauss_jacobi_rule, simplex_rule_2
 from .sde import SdeConfig, density_ks_check, simulate
 from .simplex_jacobi import simplex_q_polynomial
-from .special import eigenvalue, jacobi_p, pochhammer
+from .special import eigenvalue, jacobi_p, jacobi_table, pochhammer
 
 TIERS = {
     "quick": {"paths": 10**4, "dt": 1e-3, "decay_rate_tol": 0.10},
@@ -458,6 +456,42 @@ def check_monte_carlo(tier, seed):
         worst,
         1.0,
     )
+
+
+def eigen_transform_check(n, t, c, N):
+    """Project the density on the n-th Jacobi mode by quadrature.
+
+    Returns the integral of P_n^{N-2,0}(2u-1) f_t(c, u) du, which the
+    spectral form predicts to be e^{-n(n+N-1)t} P_n^{N-2,0}(2c-1).
+    """
+    tr = auto_truncation(t, N, 1e-13)
+    # the integrand has degree n_max + n, which this rule integrates exactly
+    rule = gauss_jacobi_rule(max(64, (tr.n_max + n) // 2 + 1), N - 2.0, 0.0)
+    series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
+    pn = jacobi_table(n, N - 2.0, 0.0, 2.0 * rule.nodes - 1.0)[n]
+    return float(np.dot(rule.weights, series * pn))
+
+
+def chapman_kolmogorov_check(t, s, c, u, N):
+    """Semigroup composition: compare int f_t(c, v) f_s(v, u) dv with f_{t+s}(c, u).
+
+    The v-integral is taken with Lebesgue measure; each density already
+    carries its own weight factor, so the Gauss-Jacobi rule absorbs the
+    (1-v)^{N-2} of the first factor and the second factor contributes its
+    weight at the fixed endpoint u.  Returns (lhs, rhs).
+    """
+    if t <= 0.0 or s <= 0.0:
+        raise ValueError("both time arguments must be positive")
+    tr_t = auto_truncation(t, N, 1e-12)
+    tr_s = auto_truncation(s, N, 1e-12)
+    rule = gauss_jacobi_rule(max(64, (tr_t.n_max + tr_s.n_max) // 2 + 1), N - 2.0, 0.0)
+    first, _ = kernel_series_1d(t, c, rule.nodes, N, tr_t.n_max)
+    second, _ = kernel_series_1d(s, u, rule.nodes, N, tr_s.n_max)
+    s1_u = (1.0 - u) ** (N - 2)
+    lhs = float(np.dot(rule.weights, first * second)) * s1_u
+    tr_ts = auto_truncation(t + s, N, 1e-12)
+    rhs = float(density_1d_values(t + s, c, u, N, tr_ts))
+    return lhs, rhs
 
 
 def _u2_marginals(t, c, u1s, N, inner, n_max):

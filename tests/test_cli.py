@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import jacobi_heat
 from jacobi_heat import __version__, cli
 from jacobi_heat.cli import main
 from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
@@ -87,6 +89,14 @@ def test_coeffs_csv_small_differences(tmp_path):
     assert header == ["n", "solve", "closed_form", "abs_diff"]
     assert len(rows) == 21
     assert np.all(rows[:, 3] <= 1e-9 * np.maximum(np.abs(rows[:, 2]), 1e-30))
+
+
+def test_coeffs_far_past_the_underflow_cap(tmp_path):
+    # the exact solve stops at n = 141 for N = 4, so 400 rows take seconds, not hours
+    out = tmp_path / "co.csv"
+    assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "400", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 401 and not np.any(rows[142:, 1])
 
 
 def test_laplace_csv(tmp_path):
@@ -211,6 +221,20 @@ assert main(["laplace", "--N=3", "--t=0.3", "--c=0.4", "--lambda=1", "--out={out
 """
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_public_names_are_the_routes():
+    # widening the package's surface is a reviewed edit of this list
+    names = [n for n, v in vars(jacobi_heat).items() if not (n[0] == "_" or inspect.ismodule(v))]
+    assert sorted(names) == [
+        "PathEnsemble", "QuadratureRule", "SdeConfig", "SimplexPolynomial", "Truncation",
+        "TruncationWarning", "auto_truncation", "auto_truncation_2d", "bessel_j",
+        "closed_form_coefficient", "density_1d_values", "density_2d_values", "density_ks_check",
+        "eigenvalue", "face_derivative_identity", "gauss_jacobi_rule", "generalized_jacobi_op",
+        "generator_moment_check", "heat_residual_1d", "inversion_term_identity", "jacobi_p",
+        "laplace_quadrature", "laplace_series", "neumann_identity_residual", "pochhammer",
+        "script_l_k", "simplex_q_polynomial", "simplex_rule_2", "simulate", "solve_coefficients",
+    ]
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.special import hyp1f1
 
@@ -13,6 +15,8 @@ from jacobi_heat.coefficients import (
     solve_coefficients,
 )
 from jacobi_heat.special import jacobi_p, pochhammer
+
+from oracles import jacobi_2f1_exact
 
 
 def rel(a, b):
@@ -48,6 +52,18 @@ def test_solve_matches_closed_form_high_degree():
         a = solve_coefficients(0.5, N, 40)
         for n in range(41):
             assert rel(a[n], closed_form_coefficient(0.5, N, n)) <= 1e-6
+
+
+@pytest.mark.parametrize("N,c,cap", [(2, 0.3, 139), (4, 1.0, 141)])
+def test_solve_stops_where_every_coefficient_rounds_to_zero(N, c, cap):
+    # past cap, |a_n| <= (N-1)_n / (n! (N+n-1)_n) <= 2^-1075, so a_n rounds to zero;
+    # at c = 1 a_n is that bound, and a_141 for N = 4 is the smallest subnormal
+    a = solve_coefficients(c, N, cap + 10)
+    assert a[: cap + 1].tobytes() == solve_coefficients(c, N, cap).tobytes()
+    assert a[cap] != 0.0 and not np.any(a[cap + 1 :])
+    for n in range(cap + 1, cap + 4):
+        exact = jacobi_2f1_exact(n, N - 2, 0, 2 * Fraction(c) - 1)
+        assert float(exact / math.perm(N + 2 * n - 2, n)) == 0.0
 
 
 def test_closed_form_basics():

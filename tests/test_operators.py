@@ -9,8 +9,8 @@ from jacobi_heat.operators import (
     operator_matrix,
     script_l_k,
 )
-from jacobi_heat.polynomials import SimplexPolynomial, dirichlet_weight_poly, jacobi_shifted_coeffs
-from jacobi_heat.simplex_jacobi import simplex_q_polynomial
+from jacobi_heat.polynomials import SimplexPolynomial, dirichlet_weight_poly
+from jacobi_heat.simplex_jacobi import _jacobi_homogeneous
 from jacobi_heat.special import eigenvalue
 
 
@@ -29,7 +29,8 @@ def test_jacobi_op_trivial_inputs():
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_jacobi_op_eigenfunctions(N):
     for n in range(1, 11):
-        g = univariate(jacobi_shifted_coeffs(n, N - 2.0, 0.0))
+        u = SimplexPolynomial.variable(0, 1)
+        g = _jacobi_homogeneous(n, N - 2.0, 0.0, 2.0 * u - 1.0, u**0)
         image = generalized_jacobi_op(g, N)
         expected = -float(eigenvalue(n, N)) * g
         assert image.max_abs_diff(expected) <= 1e-11 * g.max_abs_coeff()
@@ -78,22 +79,6 @@ def test_generalized_op_k1_matches_1d_operator():
     assert set(out.terms) <= {(i,) for i in range(len(want))}
     for i, c in enumerate(want):
         assert out.terms.get((i,), 0.0) == pytest.approx(c, rel=1e-13)
-
-
-@pytest.mark.parametrize("N", [4, 5])
-def test_simplex_modes_are_eigenpolynomials(N):
-    for n in range(7):
-        for j in range(n + 1):
-            q = simplex_q_polynomial((n, j), N)
-            image = generalized_jacobi_op(q, N)
-            expected = -float(eigenvalue(n, N)) * q
-            assert image.max_abs_diff(expected) <= 1e-11 * max(1.0, q.max_abs_coeff())
-
-
-@pytest.mark.parametrize("k,N", [(1, 3), (2, 4), (2, 5), (3, 6)])
-def test_script_l_k_annihilates_weight(k, N):
-    sk = dirichlet_weight_poly(k, N)
-    assert script_l_k(sk, N).max_abs_coeff() <= 1e-13
 
 
 def test_script_l_k_reduces_to_generator_at_k_equals_N_minus_1():

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from jacobi_heat.polynomials import (
-    SimplexPolynomial,
-    dirichlet_weight_poly,
-    jacobi_coeffs,
-    jacobi_shifted_coeffs,
-)
+from jacobi_heat.polynomials import SimplexPolynomial, dirichlet_weight_poly
+from jacobi_heat.simplex_jacobi import _jacobi_homogeneous
 from jacobi_heat.special import jacobi_p
 
 
@@ -56,16 +52,20 @@ def test_simplex_polynomial_validation():
 
 @pytest.mark.parametrize("n,a,b", [(0, 1.0, 0.0), (3, 2.0, 0.0), (6, 0.0, 3.0), (9, 4.0, 0.0)])
 def test_jacobi_coefficient_expansions(n, a, b):
+    # the recurrence behind simplex_q_polynomial, run on SimplexPolynomials
     xs = np.linspace(-1.0, 1.0, 7)
     direct = jacobi_p(n, (a, b), xs)
-    cx = jacobi_coeffs(n, a, b)
-    via_coeffs = np.polynomial.polynomial.polyval(xs, cx)
+    x = SimplexPolynomial.variable(0, 1)
+    px = _jacobi_homogeneous(n, a, b, x, x**0)
+    pu = _jacobi_homogeneous(n, a, b, 2.0 * x - 1.0, x**0)
+    # h^n P_n(w/h) at h = 0.3, w = 0.3 x
+    w, h = SimplexPolynomial.variable(0, 2), SimplexPolynomial.variable(1, 2)
+    ph = _jacobi_homogeneous(n, a, b, w, h)(np.column_stack([0.3 * xs, np.full(7, 0.3)]))
     # monomial-basis evaluation cancels; accuracy is relative to the coefficient scale
-    np.testing.assert_allclose(via_coeffs, direct, atol=1e-13 * np.max(np.abs(cx)))
-    us = 0.5 * (xs + 1.0)
-    cu = jacobi_shifted_coeffs(n, a, b)
-    via_shifted = np.polynomial.polynomial.polyval(us, cu)
-    np.testing.assert_allclose(via_shifted, direct, atol=1e-13 * np.max(np.abs(cu)))
+    atol = 1e-13 * max(px.max_abs_coeff(), pu.max_abs_coeff())
+    np.testing.assert_allclose(px(xs[:, None]), direct, atol=atol)
+    np.testing.assert_allclose(pu(0.5 * (xs[:, None] + 1.0)), direct, atol=atol)
+    np.testing.assert_allclose(ph, 0.3**n * direct, atol=atol)
 
 
 def test_dirichlet_weight_poly():

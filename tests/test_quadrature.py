@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from jacobi_heat.quadrature import beta_integral, gauss_jacobi_rule, simplex_rule_2
-from jacobi_heat.simplex_jacobi import simplex_q
+from jacobi_heat.quadrature import QuadratureRule, gauss_jacobi_rule, simplex_rule_2
 from jacobi_heat.special import jacobi_p
 
-from oracles import beta_closed_form, dirichlet_integral_2d
+from oracles import beta_closed_form, dirichlet_integral_2d, simplex_q
 
 
 def test_single_node_legendre_is_midpoint():
@@ -54,6 +53,7 @@ def test_invalid_rule_arguments():
 @pytest.mark.parametrize("N", [3, 4, 6])
 def test_simplex_rule_total_mass(N):
     rule = simplex_rule_2(16, N)
+    assert isinstance(rule, QuadratureRule) and rule.nodes.shape == (256, 2)
     assert rule.weights.sum() == pytest.approx(1.0 / ((N - 1) * (N - 2)), rel=1e-12)
     u1, u2 = rule.nodes[:, 0], rule.nodes[:, 1]
     assert np.all(u1 > 0) and np.all(u2 > 0) and np.all(u1 + u2 < 1)
@@ -101,8 +101,3 @@ def test_integrate_basics():
     rule = gauss_jacobi_rule(32, N - 2.0, 0.0)
     got = np.dot(rule.weights, jacobi_p(n, (N - 2.0, 0.0), 2.0 * rule.nodes - 1.0) ** 2)
     assert got == pytest.approx(1.0 / (2 * n + N - 1), rel=1e-12)
-
-
-def test_beta_integral_helper():
-    assert beta_integral(1.0, 1.0) == pytest.approx(1.0)
-    assert beta_integral(10.0, 4.0) == pytest.approx(beta_closed_form(10.0, 4.0), rel=1e-14)

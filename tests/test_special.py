@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 
 from jacobi_heat.quadrature import gauss_jacobi_rule
-from jacobi_heat.special import (
-    bessel_j,
-    eigenvalue,
-    harmonic_dimension,
-    jacobi_p,
-    pochhammer,
-)
+from jacobi_heat.special import bessel_j, eigenvalue, jacobi_p, pochhammer
 
-from oracles import jacobi_2f1
+from oracles import harmonic_dimension, jacobi_2f1
 
 
 def test_pochhammer_values():
