@@ -36,6 +36,7 @@ __all__ = [
     "kernel_series_1d",
     "kernel_series_2d",
     "density_1d_values",
+    "cdf_1d_values",
     "density_2d_values",
 ]
 
@@ -177,6 +178,28 @@ def density_1d_values(t, c, u, N, tr):
     return series * (1.0 - u_arr) ** (N - 2)
 
 
+def cdf_1d_values(t, c, x, N, tr):
+    """Vectorized 1-D CDF F_t(c, x), the integral of the density over [0, x], in closed form.
+
+    DLMF §18.9's d/dy[(1-y)^{a+1} (1+y) P_{n-1}^{a+1,1}(y)] = -2n (1-y)^a P_n^{a,0}(y)
+    integrates the series termwise: with w_n the kernel_series_1d weights,
+    F = 1 - (1-x)^{N-1} - x (1-x)^{N-1} sum_{n>=1} (w_n/n) P_{n-1}^{N-1,1}(2x-1).
+    The truncation error is at most tr.achieved_bound/(N-1), the kernel's tail
+    bound times the weight's integral.  Refuses what density_1d_values refuses.
+    """
+    _require_time_and_dimension(t, N, 2)
+    x = np.asarray(x, dtype=float)
+    if not (0.0 <= c <= 1.0 and np.all((x >= 0.0) & (x <= 1.0))):
+        raise ValueError("c and x must lie in [0, 1]")
+    ns = np.arange(1, tr.n_max + 1)
+    pc = jacobi_table(tr.n_max, N - 2.0, 0.0, 2.0 * c - 1.0)[1:]
+    w = np.exp(-ns * (ns + N - 1.0) * t) * (2.0 * ns + N - 1.0) * pc / ns
+    table = jacobi_table(tr.n_max - 1, N - 1.0, 1.0, 2.0 * x - 1.0)
+    scale = x * (1.0 - x) ** (N - 1)
+    _check_last_term(float(np.max(np.abs(w[-1] * scale * table[-1]), initial=0.0)), tr, t, N)
+    return 1.0 - (1.0 - x) ** (N - 1) - scale * (w @ table)
+
+
 def kernel_series_2d(t, c, pts, N, n_max):
     """Kernel part of the 2-simplex density at points pts (shape (M, 2)).
 
@@ -246,13 +269,13 @@ def _in_closed_simplex(p):
 def density_2d_values(t, c, pts, N, tr):
     """Vectorized 2-D density including the (1-u1-u2)^{N-3} weight.
 
-    Refuses t not finite and positive, N < 3, and c or any point outside the
-    closed 2-simplex.
+    Refuses t not finite and positive, N < 3, a c that is not a point of the
+    closed 2-simplex, and any point outside it.
     """
     _require_time_and_dimension(t, N, 3)
     pts = np.reshape(np.asarray(pts, dtype=float), (-1, 2))
-    if not _in_closed_simplex(np.asarray(c, dtype=float)):
-        raise ValueError(f"c = {tuple(c)} outside the closed 2-simplex")
+    if np.shape(c) != (2,) or not _in_closed_simplex(np.asarray(c, dtype=float)):
+        raise ValueError(f"c = {c!r} is not a point of the closed 2-simplex")
     if not np.all(_in_closed_simplex(pts)):
         raise ValueError("every point u must lie in the closed 2-simplex")
     series, last = kernel_series_2d(t, c, pts, N, tr.n_max)

@@ -10,7 +10,7 @@ coefficient-wise.
 
 import numpy as np
 
-from .heat_kernel import kernel_series_1d
+from .heat_kernel import _require_time_and_dimension, kernel_series_1d
 from .polynomials import SimplexPolynomial
 from .special import eigenvalue
 
@@ -67,8 +67,12 @@ def heat_residual_1d(t, c, N, n_max, u_grid):
     differentiated in t by the symmetric five-point stencil of step
     STENCIL_DT (fourth order; this is why t > 2*STENCIL_DT is required) and
     compared against the termwise derivative, where each series term is an
-    eigenfunction and contributes -n(n+N-1) times itself.
+    eigenfunction and contributes -n(n+N-1) times itself.  Also refuses t not
+    finite, N < 2 and c off [0, 1].
     """
+    _require_time_and_dimension(t, N, 2)
+    if not (0.0 <= c <= 1.0):
+        raise ValueError(f"c must lie in [0, 1], got {c}")
     dt = STENCIL_DT
     if t <= 2.0 * dt:
         raise ValueError(f"need t > 2*dt, got t={t}, dt={dt}")

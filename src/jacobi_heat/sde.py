@@ -13,7 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .heat_kernel import cdf_1d_values, density_2d_values
 from .operators import generalized_jacobi_op
+from .quadrature import gauss_jacobi_rule
 
 __all__ = [
     "SdeConfig",
@@ -113,7 +115,7 @@ def _diffusion_increment(u, z, sqrt2dt, out, work):
     return out
 
 
-def _simulate_block(cfg, start, rng, n, n_steps, drift_only, dests):
+def _simulate_block(cfg, start, rng, n, n_steps, dests):
     """Step n paths from start through every step.
 
     dests maps a step to the (n, k) arrays that receive the state after it.
@@ -130,12 +132,10 @@ def _simulate_block(cfg, start, rng, n, n_steps, drift_only, dests):
     for dest in dests.get(0, ()):
         dest[...] = u.T
     for step in range(1, n_steps + 1):
-        if not drift_only:
-            _diffusion_increment(u, _normals(rng, z), sqrt2dt, noise, work)
+        _diffusion_increment(u, _normals(rng, z), sqrt2dt, noise, work)
         u *= drift_scale
         u += cfg.dt
-        if not drift_only:
-            u += noise
+        u += noise
         np.clip(u, 0.0, None, out=u)
         u.sum(axis=0, out=total)
         np.greater(total, 1.0, out=over)
@@ -148,14 +148,12 @@ def _simulate_block(cfg, start, rng, n, n_steps, drift_only, dests):
             dest[...] = u.T
 
 
-def simulate(cfg, start, snapshot_times=(), drift_only=False):
+def simulate(cfg, start, snapshot_times=()):
     """Run the Euler-Maruyama scheme from a common start point.
 
     start: point of the closed simplex (length k)
     snapshot_times: times at which copies of the ensemble are recorded, each
         a whole number of steps dt
-    drift_only: disable the noise (test hook; the paths then follow the
-        deterministic flow u' = 1 - N u)
 
     Coordinates are clamped at 0 after every step and the state is rescaled
     onto the simplex whenever the coordinates sum above 1.  The ensemble is
@@ -191,64 +189,39 @@ def simulate(cfg, start, snapshot_times=(), drift_only=False):
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(b,))
         rng = np.random.Generator(np.random.SFC64(seq))
         block_dests = {step: [a[lo:hi] for a in arrays] for step, arrays in dests.items()}
-        _simulate_block(cfg, start, rng, hi - lo, n_steps, drift_only, block_dests)
+        _simulate_block(cfg, start, rng, hi - lo, n_steps, block_dests)
     return PathEnsemble(terminal_points=terminal, config=cfg, snapshots=snapshots)
 
 
-def _cdf_from_density(density, xs, panels=200, order=16):
-    """CDF of a density on [0, 1] at points xs, by panelwise Gauss-Legendre."""
-    from .quadrature import gauss_jacobi_rule
-
-    rule = gauss_jacobi_rule(order, 0.0, 0.0)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    width = edges[1] - edges[0]
-    nodes = (edges[:-1, None] + width * rule.nodes[None, :]).ravel()
-    vals = np.asarray(density(nodes), dtype=float).reshape(panels, order)
-    panel_ints = width * vals @ rule.weights
-    cum = np.concatenate([[0.0], np.cumsum(panel_ints)])
-
-    xs = np.asarray(xs, dtype=float)
-    idx = np.clip((xs / width).astype(int), 0, panels - 1)
-    local = edges[idx][:, None] + (xs - edges[idx])[:, None] * rule.nodes[None, :]
-    local_vals = np.asarray(density(local.ravel()), dtype=float).reshape(len(xs), order)
-    partial = (xs - edges[idx]) * (local_vals @ rule.weights)
-    return cum[idx] + partial
-
-
-def density_ks_check(ens, density, grid_bins=5):
-    """Goodness-of-fit statistic of an ensemble against a closed-form density.
+def density_ks_check(ens, t, c, tr, grid_bins=5):
+    """Goodness-of-fit statistic of an ensemble against the density f_t(c, .) at its N, cut at tr.
 
     k = 1: the Kolmogorov-Smirnov statistic between the empirical terminal
-    CDF and the quadrature-integrated density CDF.  k = 2: Pearson's
-    chi-square over grid_bins^2 cells of the square (u1, u2/(1-u1)), with
-    expected counts from per-cell Gauss-Legendre integration of the density;
-    cells with expected count below 5 make the check refuse.
+    CDF and the series' closed-form CDF, which is within tr.achieved_bound/(N-1)
+    of the exact one.  k = 2: Pearson's chi-square over grid_bins^2 cells of
+    the square (u1, u2/(1-u1)), with expected counts from one density call on
+    every cell's 8x8 Gauss-Legendre nodes; cells with expected count below 5
+    make the check refuse.
     """
     k = ens.config.k
+    N = ens.config.N
     pts = ens.terminal_points
     n = len(pts)
     if k == 1:
         xs = np.sort(pts[:, 0])
-        cdf = _cdf_from_density(density, xs)
+        cdf = cdf_1d_values(t, c, xs, N, tr)
         i = np.arange(1, n + 1)
         return float(np.max(np.maximum(np.abs(i / n - cdf), np.abs((i - 1) / n - cdf))))
     if k == 2:
-        from .quadrature import gauss_jacobi_rule
-
         rule = gauss_jacobi_rule(8, 0.0, 0.0)
         edges = np.linspace(0.0, 1.0, grid_bins + 1)
         width = edges[1] - edges[0]
-        expected = np.empty((grid_bins, grid_bins))
-        for ix in range(grid_bins):
-            x = edges[ix] + width * rule.nodes
-            for iy in range(grid_bins):
-                y = edges[iy] + width * rule.nodes
-                xx = np.repeat(x, len(y))
-                yy = np.tile(y, len(x))
-                f = np.asarray(density(xx, (1.0 - xx) * yy), dtype=float)
-                jac = 1.0 - xx
-                w = np.repeat(rule.weights, len(y)) * np.tile(rule.weights, len(x))
-                expected[ix, iy] = width * width * np.dot(w, f * jac)
+        y = (edges[:-1, None] + width * rule.nodes).ravel()  # the nodes of every bin, bin-major
+        u1 = np.repeat(y, len(y))
+        f = density_2d_values(t, c, np.column_stack([u1, (1.0 - u1) * np.tile(y, len(y))]), N, tr)
+        f *= 1.0 - u1  # the Jacobian of u2 = (1-u1) y
+        f = f.reshape(grid_bins, 8, grid_bins, 8)
+        expected = width * width * np.einsum("a,iajb,b->ij", rule.weights, f, rule.weights)
         expected *= n
         if np.any(expected < 5.0):
             raise ValueError(

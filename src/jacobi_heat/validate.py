@@ -409,8 +409,7 @@ def check_monte_carlo(tier, seed):
     N, t, c = 3, 0.5, 0.3
     cfg = SdeConfig(N=N, k=1, t_final=t, dt=dt, paths=paths, seed=seed + 1)
     ens = simulate(cfg, np.array([c]))
-    tr = auto_truncation(t, N, 1e-10)
-    stat = density_ks_check(ens, lambda u: density_1d_values(t, c, u, N, tr))
+    stat = density_ks_check(ens, t, c, auto_truncation(t, N, 1e-10))
     yield _check(
         "mc.ks_1d",
         {"N": N, "k": 1, "t": t, "c": c, "paths": paths, "dt": dt},
@@ -424,12 +423,7 @@ def check_monte_carlo(tier, seed):
     bins = 5 if tier == "full" else 3
     cfg = SdeConfig(N=N, k=2, t_final=t, dt=dt, paths=paths, seed=seed + 2)
     ens = simulate(cfg, np.array(c))
-    tr = auto_truncation_2d(t, N, 1e-10)
-    stat = density_ks_check(
-        ens,
-        lambda u1, u2: density_2d_values(t, c, np.column_stack([u1, u2]), N, tr),
-        grid_bins=bins,
-    )
+    stat = density_ks_check(ens, t, c, auto_truncation_2d(t, N, 1e-10), grid_bins=bins)
     yield _check(
         "mc.chi_square_2d",
         {"N": N, "k": 2, "t": t, "c": list(c), "paths": paths, "dt": dt, "bins": bins},

@@ -14,6 +14,7 @@ from jacobi_heat.heat_kernel import (
     _term_bound_2d,
     auto_truncation,
     auto_truncation_2d,
+    cdf_1d_values,
     density_1d_values,
     density_2d_values,
     kernel_series_1d,
@@ -117,8 +118,9 @@ def test_density_query_validation():
         (0.5, 0.3, np.array([0.2, -0.1]), 3),
         (0.5, 0.3, 0.5, 1),
     ]:
-        with pytest.raises(ValueError):
-            density_1d_values(t, c, u, N, tr1)
+        for values in (density_1d_values, cdf_1d_values):
+            with pytest.raises(ValueError):
+                values(t, c, u, N, tr1)
     for t, c, u, N in [
         (0.0, (0.2, 0.2), [(0.1, 0.1)], 4),
         (-0.5, (0.2, 0.2), [(0.1, 0.1)], 4),
@@ -130,6 +132,9 @@ def test_density_query_validation():
     ]:
         with pytest.raises(ValueError):
             density_2d_values(t, c, u, N, tr2)
+    for c in (0.3, (0.2,), (0.2, 0.2, 0.1)):  # start points that are not pairs
+        with pytest.raises(ValueError, match="not a point of the closed 2-simplex"):
+            density_2d_values(0.1, c, [(0.1, 0.1)], 4, tr2)
     # the closed simplex is accepted, up to 1e-12 of rounding
     assert np.all(np.isfinite(density_2d_values(0.5, (1.0, 0.0), [(0.5, 0.5 + 1e-13)], 4, tr2)))
 
@@ -196,6 +201,35 @@ def test_kernel_series_1d_matches_an_exactly_rounded_sum(N, t, c):
     for i in range(len(u)):
         ref = math.fsum(terms[:, i])
         assert abs(got[i] - ref) <= 8.0 * np.finfo(float).eps * float(np.abs(terms[:, i]).sum())
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 10])
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
+def test_cdf_1d_is_the_integral_of_the_truncated_density(N, t, c):
+    # the truncated density is a polynomial of degree n_max + N - 2, which this
+    # Gauss-Legendre rule on [0, x] integrates exactly; numpy's rule, because
+    # the package's Gauss-Jacobi rules lose accuracy at the endpoints at a few
+    # hundred nodes
+    tr = auto_truncation(t, N, 1e-12)
+    x = np.linspace(0.0, 1.0, 41)
+    nodes, weights = np.polynomial.legendre.leggauss((tr.n_max + N - 2) // 2 + 1)
+    u = x[:, None] * (nodes + 1.0) / 2.0
+    ns = np.arange(tr.n_max + 1)
+    w = np.exp(-ns * (ns + N - 1.0) * t) * (2.0 * ns + N - 1.0)
+    w *= jacobi_table(tr.n_max, N - 2.0, 0.0, 2.0 * c - 1.0)
+    terms = w[:, None, None] * jacobi_table(tr.n_max, N - 2.0, 0.0, 2.0 * u - 1.0)
+    terms *= (1.0 - u) ** (N - 2)
+    ref = x * (terms.sum(axis=0) @ weights) / 2.0
+    # rounding: a few hundred ulps of the absolute term sums of either side,
+    # which reach 1e10 at N = 10, t = 1e-3, c = 1
+    cdf_terms = (w[1:] / ns[1:])[:, None] * jacobi_table(tr.n_max - 1, N - 1.0, 1.0, 2.0 * x - 1.0)
+    scale = x * (np.abs(terms).sum(axis=0) @ weights) / 2.0
+    scale += x * (1.0 - x) ** (N - 1) * np.abs(cdf_terms).sum(axis=0)
+    got = cdf_1d_values(t, c, x, N, tr)
+    assert np.all(np.abs(got - ref) <= 1e-12 + 1e-13 * scale)
+    assert got[0] == 0.0
+    assert abs(got[-1] - 1.0) <= tr.achieved_bound
 
 
 def test_truncation_warning_fires_on_bogus_certificate():

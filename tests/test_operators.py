@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,10 @@ def test_heat_residual_stationary_regime():
 def test_heat_residual_requires_room_for_the_stencil():
     with pytest.raises(ValueError):
         heat_residual_1d(1e-4, 0.5, 3, 2, [0.5])
+    # a time that is not finite, too small an N and a start off [0, 1] are refused too
+    for t, c, N in [(math.nan, 0.5, 3), (math.inf, 0.5, 3), (0.3, 0.5, 1), (0.3, 2.0, 3)]:
+        with pytest.raises(ValueError):
+            heat_residual_1d(t, c, N, 2, [0.5])
 
 
 def test_face_identity_for_weight_and_weighted_polynomials():

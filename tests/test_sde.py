@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
+from jacobi_heat.heat_kernel import auto_truncation, auto_truncation_2d, density_2d_values
 from jacobi_heat.polynomials import SimplexPolynomial
 from jacobi_heat.sde import (
     BLOCK_PATHS,
@@ -112,12 +113,6 @@ def test_short_last_block_stays_in_the_simplex():
     assert np.unique(last, axis=0).shape[0] > 1
 
 
-def test_drift_only_rows_agree_across_blocks():
-    cfg = SdeConfig(N=4, k=2, t_final=0.05, dt=5e-3, paths=BLOCK_PATHS + 37, seed=53)
-    pts = simulate(cfg, np.array([0.3, 0.1]), drift_only=True).terminal_points
-    assert np.array_equal(pts, np.broadcast_to(pts[0], pts.shape))
-
-
 def _reference_diffusion_increment(u, z, sqrt2dt):
     """The allocating loop form of the factor, kept as the bit-exact reference."""
     k = u.shape[0]
@@ -170,15 +165,6 @@ def test_simplex_containment():
     assert np.all(pts.sum(axis=1) <= 1.0 + 1e-12)
 
 
-def test_drift_only_follows_the_mean_ode():
-    # with the noise disabled, u' = 1 - N u has the explicit relaxation solution
-    cfg = SdeConfig(N=4, k=2, t_final=0.5, dt=1e-4, paths=2, seed=9)
-    start = np.array([0.3, 0.1])
-    ens = simulate(cfg, start, drift_only=True)
-    want = 0.25 + (start - 0.25) * math.exp(-4 * 0.5)
-    assert np.max(np.abs(ens.terminal_points - want)) <= 5e-4  # O(dt) scheme
-
-
 def test_mean_relaxes_at_rate_N():
     N, c = 3, 0.9
     cfg = SdeConfig(N=N, k=1, t_final=0.8, dt=1e-3, paths=30000, seed=21)
@@ -203,24 +189,26 @@ def test_stationary_dirichlet_moments():
         assert abs(float(np.mean(pts[:, i] ** 2)) - want2) <= 3.0 * se2 + 5.0 * cfg.dt
 
 
+def _beta_ensemble(a, b, paths, seed):
+    """Terminal points drawn straight from Beta(a, b), labelled as an N = 3 ensemble."""
+    draws = np.random.default_rng(seed).beta(a, b, size=(paths, 1))
+    cfg = SdeConfig(N=3, k=1, t_final=1.0, dt=1e-2, paths=paths, seed=0)
+    return PathEnsemble(terminal_points=draws, config=cfg)
+
+
+# at t = 50 only the constant mode survives: the stationary Beta(1, N-1) law
+T_STATIONARY = 50.0
+
+
 def test_ks_accepts_identically_distributed_sample():
-    # terminal points drawn straight from the stationary law vs its density
-    N = 3
-    rng = np.random.default_rng(77)
-    draws = rng.beta(1.0, N - 1.0, size=(10000, 1))
-    cfg = SdeConfig(N=N, k=1, t_final=1.0, dt=1e-2, paths=10000, seed=0)
-    ens = PathEnsemble(terminal_points=draws, config=cfg)
-    stat = density_ks_check(ens, lambda u: (N - 1.0) * (1.0 - u) ** (N - 2))
+    ens = _beta_ensemble(1.0, 2.0, 10000, 77)
+    stat = density_ks_check(ens, T_STATIONARY, 0.3, auto_truncation(T_STATIONARY, 3, 1e-10))
     assert stat <= 1.63 / math.sqrt(10000)
 
 
 def test_ks_detects_wrong_law():
-    N = 3
-    rng = np.random.default_rng(78)
-    draws = rng.beta(3.0, 1.5, size=(10000, 1))
-    cfg = SdeConfig(N=N, k=1, t_final=1.0, dt=1e-2, paths=10000, seed=0)
-    ens = PathEnsemble(terminal_points=draws, config=cfg)
-    stat = density_ks_check(ens, lambda u: (N - 1.0) * (1.0 - u) ** (N - 2))
+    ens = _beta_ensemble(3.0, 1.5, 10000, 78)
+    stat = density_ks_check(ens, T_STATIONARY, 0.3, auto_truncation(T_STATIONARY, 3, 1e-10))
     assert stat > 10.0 * 1.63 / math.sqrt(10000)
 
 
@@ -228,20 +216,61 @@ def test_ks_against_transition_density():
     N, t, c = 3, 0.5, 0.3
     cfg = SdeConfig(N=N, k=1, t_final=t, dt=1e-3, paths=20000, seed=13)
     ens = simulate(cfg, np.array([c]))
-    tr = auto_truncation(t, N, 1e-10)
-    stat = density_ks_check(ens, lambda u: density_1d_values(t, c, u, N, tr))
+    stat = density_ks_check(ens, t, c, auto_truncation(t, N, 1e-10))
     assert stat <= 3.0 * 1.63 / math.sqrt(cfg.paths)
 
 
+def test_ks_statistic_memory_is_linear_in_the_paths():
+    # the closed-form CDF needs a few arrays of the paths' size, not 16 density
+    # evaluations per path
+    ens = _beta_ensemble(1.0, 2.0, 2 * 10**5, 79)
+    tr = auto_truncation(T_STATIONARY, 3, 1e-10)
+    tracemalloc.start()
+    try:
+        density_ks_check(ens, T_STATIONARY, 0.3, tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_chi_square_matches_per_cell_integration():
+    # the reference integrates the density cell by cell, one call per cell
+    N, t, c, bins = 4, 0.4, (0.3, 0.2), 3
+    ens = simulate(SdeConfig(N=N, k=2, t_final=t, dt=1e-3, paths=2000, seed=11), np.array(c))
+    tr = auto_truncation_2d(t, N, 1e-10)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    width = 1.0 / bins
+    expected = np.empty((bins, bins))
+    for ix in range(bins):
+        for iy in range(bins):
+            x, y = np.meshgrid(ix * width + width * nodes, iy * width + width * nodes, indexing="ij")
+            f = density_2d_values(t, c, np.column_stack([x.ravel(), ((1.0 - x) * y).ravel()]), N, tr)
+            cell = (1.0 - x) * f.reshape(8, 8)
+            expected[ix, iy] = width * width * weights @ cell @ weights
+    expected *= ens.config.paths
+    pts = ens.terminal_points
+    ix = np.minimum((pts[:, 0] / width).astype(int), bins - 1)
+    iy = np.minimum((pts[:, 1] / (1.0 - pts[:, 0]) / width).astype(int), bins - 1)
+    observed = np.zeros((bins, bins))
+    np.add.at(observed, (ix, iy), 1.0)
+    want = float(np.sum((observed - expected) ** 2 / expected))
+    assert density_ks_check(ens, t, c, tr, grid_bins=bins) == pytest.approx(want, rel=1e-12)
+
+
 def test_chi_square_refuses_sparse_cells():
-    cfg = SdeConfig(N=4, k=2, t_final=0.2, dt=1e-3, paths=200, seed=3)
-    ens = simulate(cfg, np.array([0.3, 0.2]))
-    with pytest.raises(ValueError):
-        density_ks_check(ens, lambda a, b: 6.0 * (1.0 - a - b), grid_bins=5)
-    with pytest.raises(ValueError):
+    N, t, c = 4, 0.2, (0.3, 0.2)
+    ens = simulate(SdeConfig(N=N, k=2, t_final=t, dt=1e-3, paths=200, seed=3), np.array(c))
+    with pytest.raises(ValueError, match="insufficient paths"):
+        density_ks_check(ens, t, c, auto_truncation_2d(t, N, 1e-10), grid_bins=5)
+    cfg = SdeConfig(N=6, k=3, t_final=1.0, dt=1e-2, paths=100, seed=0)
+    with pytest.raises(ValueError, match="no closed-form density"):
         density_ks_check(
-            PathEnsemble(terminal_points=np.zeros((100, 3)), config=SdeConfig(N=6, k=3, t_final=1.0, dt=1e-2, paths=100, seed=0)),
-            lambda *a: 1.0,
+            PathEnsemble(terminal_points=np.zeros((100, 3)), config=cfg),
+            1.0,
+            (0.1, 0.1, 0.1),
+            auto_truncation_2d(1.0, 6, 1e-10),
         )
 
 
