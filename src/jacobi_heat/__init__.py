@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 
 from .coefficients import (
     closed_form_coefficient,
-    inversion_term_identity,
     laplace_quadrature,
     laplace_series,
-    neumann_identity_residual,
     solve_coefficients,
 )
 from .heat_kernel import (
@@ -27,14 +25,9 @@ from .heat_kernel import (
     density_1d_values,
     density_2d_values,
 )
-from .operators import (
-    face_derivative_identity,
-    generalized_jacobi_op,
-    heat_residual_1d,
-    script_l_k,
-)
+from .operators import generalized_jacobi_op, script_l_k
 from .polynomials import SimplexPolynomial
 from .quadrature import QuadratureRule, gauss_jacobi_rule, simplex_rule_2
-from .sde import PathEnsemble, SdeConfig, density_ks_check, generator_moment_check, simulate
+from .sde import PathEnsemble, SdeConfig, density_ks_check, simulate
 from .simplex_jacobi import simplex_q_polynomial
-from .special import bessel_j, eigenvalue, jacobi_p, pochhammer
+from .special import eigenvalue, jacobi_p, pochhammer

@@ -1,12 +1,14 @@
-"""Coefficient system of the density's Laplace transform and its identities.
+"""Coefficient system of the density's Laplace transform.
 
 The sequence a_n(c, N) solves the lower-triangular system
 
     sum_{n=0}^p a_n C(p, n) / (N+2n)_{p-n} = c^p / p!,   a_0 = 1,
 
 and has the closed form P_n^{N-2,0}(2c-1) / (N+n-1)_n.  Both routes are
-implemented; a Bessel-series identity and the Laplace transform of the
-density tie them back to the spectral expansion.
+implemented, and so is the Laplace transform of the density, as the
+coefficient series and as a quadrature against the spectral expansion.
+validate ties the coefficients back to that expansion through a
+Bessel-series identity and the termwise Laplace inversion.
 """
 
 import math
@@ -16,15 +18,13 @@ import numpy as np
 
 from .heat_kernel import _require_time_and_dimension, auto_truncation, kernel_series_1d
 from .quadrature import gauss_jacobi_rule
-from .special import bessel_j, jacobi_p, jacobi_table, pochhammer
+from .special import jacobi_p, jacobi_table, pochhammer
 
 __all__ = [
     "solve_coefficients",
     "closed_form_coefficient",
-    "neumann_identity_residual",
     "laplace_series",
     "laplace_quadrature",
-    "inversion_term_identity",
 ]
 
 
@@ -79,27 +79,6 @@ def closed_form_coefficient(c, N, n):
     return jacobi_p(n, (N - 2.0, 0.0), 2.0 * c - 1.0) / pochhammer(N + n - 1.0, n)
 
 
-def neumann_identity_residual(c, N, x, n_max):
-    """Residual of the Bessel-series identity solved by the coefficients.
-
-    Compares sum_n (a_n/n!) Gamma(N+2n) (-1)^n J_{2n+N-1}(x) against
-    J_0(sqrt(c) x) (x/2)^{N-1}, with a_n taken in closed form.  Small x only;
-    the terms are bounded by (|x|/2)^{2n+N-1} / ((N+n-1)_n n!).
-    """
-    if abs(x) > 5.0:
-        raise ValueError(f"|x| must be <= 5 for the residual check, got {x}")
-    total = math.fsum(
-        closed_form_coefficient(c, N, n)
-        / math.factorial(n)
-        * math.gamma(N + 2.0 * n)
-        * (-1.0) ** n
-        * bessel_j(2 * n + N - 1.0, x)
-        for n in range(n_max + 1)
-    )
-    rhs = bessel_j(0.0, math.sqrt(c) * x) * (0.5 * x) ** (N - 1)
-    return abs(total - rhs)
-
-
 def laplace_series(c, lam, t, N, n_max):
     """Laplace transform of the 1-D density at time t, as a coefficient series.
 
@@ -149,22 +128,3 @@ def laplace_quadrature(c, lams, t, N):
     rule = _laplace_rule(tr.n_max, N)
     series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)
     return np.array([np.dot(rule.weights, np.exp(lam * rule.nodes) * series) for lam in lams])
-
-
-def inversion_term_identity(n, c, N, lam):
-    """Both sides of the termwise Laplace-inversion identity.
-
-    lhs = a_n lam^n 1F1(n+1, N+2n, lam); rhs = (2n+N-1) P_n^{0,N-2}(1-2c)
-    times the Gauss-Jacobi integral of e^{lam*u} P_n^{0,N-2}(1-2u) against
-    (1-u)^{N-2} du, for |lam| <= 10.  The (2n+N-1) factor is forced by the
-    n = 0 case 1F1(1, N, lam) = (N-1) * int e^{lam*u} (1-u)^{N-2} du and by
-    consistency with the spectral form of the density.
-    """
-    from scipy.special import hyp1f1
-
-    lhs = closed_form_coefficient(c, N, n) * lam**n * hyp1f1(n + 1.0, N + 2.0 * n, lam)
-    rule = _laplace_rule(n, N)
-    pn = jacobi_table(n, 0.0, N - 2.0, 1.0 - 2.0 * rule.nodes)[n]
-    integral = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * pn))
-    rhs = (2 * n + N - 1) * jacobi_p(n, (0.0, N - 2.0), 1.0 - 2.0 * c) * integral
-    return lhs, rhs

@@ -21,6 +21,7 @@ for k = 2; the k = 2 bound is attained at the vertices (1, 0) and (0, 1).
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,8 +57,9 @@ class Truncation:
     achieved_bound: float
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        # numpy's integer types register as Integral; floats, even whole ones, do not
+        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1 and an integer, got {self.n_max!r}")
         _require_tolerance(self.tol)
 
 
@@ -160,8 +162,8 @@ def _check_last_term(last_term_max, tr, t, N):
 def _require_time_and_dimension(t, N, N_min):
     if not (0.0 < t < math.inf):
         raise ValueError(f"t must be positive and finite (t = 0 is a Dirac mass), got {t}")
-    if N < N_min:
-        raise ValueError(f"N must be >= {N_min}, got {N}")
+    if not isinstance(N, numbers.Integral) or N < N_min:
+        raise ValueError(f"N must be >= {N_min} and an integer, got {N!r}")
 
 
 def density_1d_values(t, c, u, N, tr):

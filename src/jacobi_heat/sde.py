@@ -8,13 +8,12 @@ and the only tool covering three or more projected coordinates.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .heat_kernel import cdf_1d_values, density_2d_values
-from .operators import generalized_jacobi_op
 from .quadrature import gauss_jacobi_rule
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "PathEnsemble",
     "simulate",
     "density_ks_check",
-    "generator_moment_check",
-    "GeneratorCheck",
 ]
 
 # paths stepped together: a block's (k, BLOCK_PATHS) state and scratch arrays
@@ -51,6 +48,9 @@ class SdeConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("N", "k", "paths", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.N < 2 or not (1 <= self.k <= self.N - 1):
             raise ValueError(f"need N >= 2 and 1 <= k <= N-1, got N={self.N}, k={self.k}")
         if not (0.0 < self.t_final < math.inf and 0.0 < self.dt < math.inf):
@@ -236,42 +236,3 @@ def density_ks_check(ens, t, c, tr, grid_bins=5):
         np.add.at(observed, (ix, iy), 1.0)
         return float(np.sum((observed - expected) ** 2 / expected))
     raise ValueError(f"no closed-form density for k = {k}")
-
-
-class GeneratorCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    band: float
-
-
-def generator_moment_check(cfg, start, test_poly):
-    """Compare d/dt E[g(U_t)] (finite differences) with E[(generator g)(U_t)].
-
-    The time derivative uses snapshots of the same paths at t_final - 2*delta
-    and t_final, centered at t_final - delta where the generator average is
-    taken.  delta is a whole number of steps, 5% of them but at least 10, so
-    every snapshot lies on the dt grid.  Returns (lhs, rhs, band) where band
-    combines three standard errors of both sides with an allowance for the
-    Euler and stencil biases.
-    """
-    if test_poly.total_degree() > 4:
-        raise ValueError("test polynomial degree must be <= 4")
-    n_steps = _whole_steps(cfg.t_final, cfg.dt, "t_final")
-    delta = max(round(0.05 * n_steps), 10) * cfg.dt
-    t2 = cfg.t_final
-    t1 = cfg.t_final - delta
-    t0 = cfg.t_final - 2.0 * delta
-    ens = simulate(cfg, start, snapshot_times=(t0, t1, t2))
-    g2 = test_poly(ens.snapshots[t2])
-    g0 = test_poly(ens.snapshots[t0])
-    fd_samples = (g2 - g0) / (2.0 * delta)
-    op_g = generalized_jacobi_op(test_poly, cfg.N)
-    rhs_samples = op_g(ens.snapshots[t1])
-    lhs = float(np.mean(fd_samples))
-    rhs = float(np.mean(rhs_samples))
-    se = math.hypot(
-        float(np.std(fd_samples, ddof=1)) / math.sqrt(cfg.paths),
-        float(np.std(rhs_samples, ddof=1)) / math.sqrt(cfg.paths),
-    )
-    band = 3.0 * se + 10.0 * cfg.dt + delta**2
-    return GeneratorCheck(lhs=lhs, rhs=rhs, band=band)

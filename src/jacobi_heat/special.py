@@ -1,12 +1,9 @@
 """Scalar special functions and Jacobi-polynomial evaluation.
 
-All routines are pure functions of their arguments.  The Bessel power
-series is summed exactly rounded by math.fsum.  Jacobi polynomials come from
-the plain three-term recurrence; the heat-kernel series built on them
-(heat_kernel) are summed in ordinary double precision.
+All routines are pure functions of their arguments.  Jacobi polynomials
+come from the plain three-term recurrence; the heat-kernel series built on
+them (heat_kernel) are summed in ordinary double precision.
 """
-
-import math
 
 import numpy as np
 
@@ -14,7 +11,6 @@ __all__ = [
     "pochhammer",
     "jacobi_table",
     "jacobi_p",
-    "bessel_j",
     "eigenvalue",
 ]
 
@@ -65,7 +61,7 @@ def jacobi_p(n, params, x):
 
     n: nonnegative degree
     params: (alpha, beta) pair with alpha, beta > -1
-    x: scalar or ndarray; values with |x| > 1 + 1e-12 are refused
+    x: scalar or ndarray; NaN and values with |x| > 1 + 1e-12 are refused
     """
     alpha, beta = params
     if not (alpha > -1.0 and beta > -1.0):
@@ -73,35 +69,11 @@ def jacobi_p(n, params, x):
     if n < 0 or n != int(n):
         raise ValueError(f"degree must be a nonnegative integer, got {n}")
     xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0 + 1e-12):
+    # NaN fails every comparison, so only the `<=` form refuses it
+    if not np.all(np.abs(xa) <= 1.0 + 1e-12):
         raise ValueError("Jacobi polynomial argument outside [-1, 1]")
     val = jacobi_table(int(n), alpha, beta, xa)[int(n)]
     return float(val) if np.ndim(x) == 0 else val
-
-
-def bessel_j(alpha, x):
-    """Bessel function J_alpha(x) summed from its defining power series.
-
-    Only the small-argument regime is supported: |x| > 30 is refused since
-    the alternating series is no longer safe in double precision there.  The
-    sum stops at machine tolerance.
-    """
-    if alpha < 0:
-        raise ValueError(f"order must be nonnegative, got {alpha}")
-    if abs(x) > 30.0:
-        raise OverflowError(f"|x| = {abs(x)} too large for the power series (limit 30)")
-    half = 0.5 * x
-    term = half**alpha / math.gamma(alpha + 1.0)
-    terms = [term]
-    running = term  # only for the stopping test
-    q = half * half
-    for p in range(1, 500):
-        term *= -q / (p * (p + alpha))
-        terms.append(term)
-        running += term
-        if abs(term) <= 1e-17 * max(abs(running), 1e-300):
-            break
-    return math.fsum(terms)
 
 
 def eigenvalue(n, N):

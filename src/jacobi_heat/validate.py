@@ -4,23 +4,26 @@ Each check reports {check_name, params, measured, tolerance, pass}.  The
 `quick` tier keeps Monte Carlo to 10^4 paths for sub-minute smoke runs; the
 `full` tier runs 2*10^5 paths at dt = 1e-4.  Reports contain no timing or
 environment data, so identical seeds give byte-identical JSON.
+
+Every residual function the checks evaluate lives here too, beside the grids
+and tolerances it is held to, so the route modules hold only the routes.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaincinv
+from scipy.special import gammaincinv, hyp1f1, jv
 
 from . import __version__
 from .coefficients import (
+    _laplace_rule,
     closed_form_coefficient,
-    inversion_term_identity,
     laplace_quadrature,
     laplace_series,
-    neumann_identity_residual,
     solve_coefficients,
 )
 from .heat_kernel import (
+    _require_time_and_dimension,
     auto_truncation,
     auto_truncation_2d,
     density_1d_values,
@@ -28,14 +31,7 @@ from .heat_kernel import (
     kernel_series_1d,
     kernel_series_2d,
 )
-from .operators import (
-    STENCIL_DT,
-    face_derivative_identity,
-    generalized_jacobi_op,
-    heat_residual_1d,
-    operator_matrix,
-    script_l_k,
-)
+from .operators import generalized_jacobi_op, operator_matrix, script_l_k
 from .polynomials import SimplexPolynomial, dirichlet_weight_poly
 from .quadrature import gauss_jacobi_rule, simplex_rule_2
 from .sde import SdeConfig, density_ks_check, simulate
@@ -52,6 +48,7 @@ C_GRID_1D = (0.0, 0.25, 0.5, 0.75, 1.0)
 N_GRID_1D = (2, 3, 5, 10)
 N_GRID_2D = (3, 4, 6)
 C_GRID_2D = ((0.1, 0.1), (0.5, 0.2), (0.2, 0.5), (0.05, 0.6), (1 / 3, 1 / 3))
+STENCIL_DT = 1e-4  # time step of heat_residual_1d's five-point stencil
 
 
 def _check(name, params, measured, tolerance):
@@ -418,15 +415,19 @@ def check_monte_carlo(tier, seed):
     )
 
     # chi-square against the 2-D spectral density; the quick tier has too few
-    # paths to keep 25 cells above the 5-count floor
+    # paths to keep 25 cells above the 5-count floor.  The snapshots at t - 2*delta
+    # and t - delta, delta 5% of the steps but at least 10, feed the generator
+    # check below and leave the terminal points unchanged.
     N, t, c = 4, 0.4, (0.3, 0.2)
     bins = 5 if tier == "full" else 3
+    delta = max(round(0.05 * round(t / dt)), 10) * dt
     cfg = SdeConfig(N=N, k=2, t_final=t, dt=dt, paths=paths, seed=seed + 2)
-    ens = simulate(cfg, np.array(c))
-    stat = density_ks_check(ens, t, c, auto_truncation_2d(t, N, 1e-10), grid_bins=bins)
+    ens_k2 = simulate(cfg, np.array(c), snapshot_times=(t - 2.0 * delta, t - delta))
+    stat = density_ks_check(ens_k2, t, c, auto_truncation_2d(t, N, 1e-10), grid_bins=bins)
+    params_k2 = {"N": N, "k": 2, "t": t, "c": list(c), "paths": paths, "dt": dt}
     yield _check(
         "mc.chi_square_2d",
-        {"N": N, "k": 2, "t": t, "c": list(c), "paths": paths, "dt": dt, "bins": bins},
+        {**params_k2, "bins": bins},
         stat,
         2.0 * float(gammaincinv((bins * bins - 1) / 2, 0.99)),  # chi-square 99% quantile
     )
@@ -450,6 +451,53 @@ def check_monte_carlo(tier, seed):
         worst,
         1.0,
     )
+
+    # d/dt E[g] against E[generator g] on the chi-square ensemble
+    polys = {"u1*u2": {(1, 1): 1.0}, "u1^2": {(2, 0): 1.0}, "u2^2+u1/2": {(0, 2): 1.0, (1, 0): 0.5}}
+    worst = 0.0
+    for terms in polys.values():
+        lhs, rhs, band = generator_moment_check(ens_k2, SimplexPolynomial(terms, 2))
+        worst = max(worst, abs(lhs - rhs) / band)
+    params = {**params_k2, "delta": delta, "g": list(polys)}
+    yield _check("mc.generator_moment_k2", params, worst, 1.0)
+
+
+def neumann_identity_residual(c, N, x, n_max):
+    """Residual of the Bessel-series identity solved by the coefficients.
+
+    Compares sum_n (a_n/n!) Gamma(N+2n) (-1)^n J_{2n+N-1}(x) against
+    J_0(sqrt(c) x) (x/2)^{N-1}, with a_n taken in closed form.  Small x only;
+    the terms are bounded by (|x|/2)^{2n+N-1} / ((N+n-1)_n n!).
+    """
+    if abs(x) > 5.0:
+        raise ValueError(f"|x| must be <= 5 for the residual check, got {x}")
+    total = math.fsum(
+        closed_form_coefficient(c, N, n)
+        / math.factorial(n)
+        * math.gamma(N + 2.0 * n)
+        * (-1.0) ** n
+        * jv(2 * n + N - 1.0, x)
+        for n in range(n_max + 1)
+    )
+    rhs = jv(0.0, math.sqrt(c) * x) * (0.5 * x) ** (N - 1)
+    return abs(total - rhs)
+
+
+def inversion_term_identity(n, c, N, lam):
+    """Both sides of the termwise Laplace-inversion identity.
+
+    lhs = a_n lam^n 1F1(n+1, N+2n, lam); rhs = (2n+N-1) P_n^{0,N-2}(1-2c)
+    times the Gauss-Jacobi integral of e^{lam*u} P_n^{0,N-2}(1-2u) against
+    (1-u)^{N-2} du, for |lam| <= 10.  The (2n+N-1) factor is forced by the
+    n = 0 case 1F1(1, N, lam) = (N-1) * int e^{lam*u} (1-u)^{N-2} du and by
+    consistency with the spectral form of the density.
+    """
+    lhs = closed_form_coefficient(c, N, n) * lam**n * hyp1f1(n + 1.0, N + 2.0 * n, lam)
+    rule = _laplace_rule(n, N)
+    pn = jacobi_table(n, 0.0, N - 2.0, 1.0 - 2.0 * rule.nodes)[n]
+    integral = float(np.dot(rule.weights, np.exp(lam * rule.nodes) * pn))
+    rhs = (2 * n + N - 1) * jacobi_p(n, (0.0, N - 2.0), 1.0 - 2.0 * c) * integral
+    return lhs, rhs
 
 
 def eigen_transform_check(n, t, c, N):
@@ -486,6 +534,85 @@ def chapman_kolmogorov_check(t, s, c, u, N):
     tr_ts = auto_truncation(t + s, N, 1e-12)
     rhs = float(density_1d_values(t + s, c, u, N, tr_ts))
     return lhs, rhs
+
+
+def heat_residual_1d(t, c, N, n_max, u_grid):
+    """Max residual of the time-differenced series against its exact derivative.
+
+    The weight-free part g_t of the density, cut at degree n_max, is
+    differentiated in t by the symmetric five-point stencil of step
+    STENCIL_DT (fourth order; this is why t > 2*STENCIL_DT is required) and
+    compared against the termwise derivative, where each series term is an
+    eigenfunction and contributes -n(n+N-1) times itself.  Also refuses t not
+    finite, N < 2 and c off [0, 1].
+    """
+    _require_time_and_dimension(t, N, 2)
+    if not (0.0 <= c <= 1.0):
+        raise ValueError(f"c must lie in [0, 1], got {c}")
+    dt = STENCIL_DT
+    if t <= 2.0 * dt:
+        raise ValueError(f"need t > 2*dt, got t={t}, dt={dt}")
+    u = np.asarray(u_grid, dtype=float)
+    g_pp, _ = kernel_series_1d(t + 2.0 * dt, c, u, N, n_max)
+    g_p, _ = kernel_series_1d(t + dt, c, u, N, n_max)
+    g_m, _ = kernel_series_1d(t - dt, c, u, N, n_max)
+    g_mm, _ = kernel_series_1d(t - 2.0 * dt, c, u, N, n_max)
+    fd = (-g_pp + 8.0 * g_p - 8.0 * g_m + g_mm) / (12.0 * dt)
+    rates = np.array([-float(eigenvalue(n, N)) for n in range(n_max + 1)])
+    exact, _ = kernel_series_1d(t, c, u, N, n_max, mode_factors=rates)
+    return float(np.max(np.abs(fd - exact)))
+
+
+def face_derivative_identity(f):
+    """Whether d_i f - d_j f vanishes on the face {u_1 + ... + u_k = 1}.
+
+    True iff every pairwise difference of first derivatives is divisible by
+    (1 - sum u); checked by substituting u_1 = 1 - u_2 - ... - u_k and
+    requiring the remainder's coefficients to vanish to 1e-12 of f's largest.
+    Holds for f = g * s_k whenever the weight exponent N-k-1 is at least 1.
+    """
+    k = f.k
+    if k == 1:
+        return True
+    ones = SimplexPolynomial.constant(1.0, k)
+    sub = ones
+    for i in range(1, k):
+        sub = sub - SimplexPolynomial.variable(i, k)
+    scale = max(1.0, f.max_abs_coeff())
+    for i in range(k):
+        for j in range(i + 1, k):
+            diff = f.partial(i) - f.partial(j)
+            rem = diff.substitute(0, sub)
+            if rem.max_abs_coeff() > 1e-12 * scale:
+                return False
+    return True
+
+
+def generator_moment_check(ens, test_poly):
+    """Compare d/dt E[g(U_t)] (finite differences) with E[(generator g)(U_t)].
+
+    The ensemble's two snapshots, at t - 2*delta and t - delta for its horizon
+    t, and its terminal points give the time derivative centered at t - delta,
+    where the generator average is taken.  Returns (lhs, rhs, band) where band
+    combines three standard errors of both sides with an allowance for the
+    Euler and stencil biases.
+    """
+    if test_poly.total_degree() > 4:
+        raise ValueError("test polynomial degree must be <= 4")
+    cfg = ens.config
+    t0, t1 = sorted(ens.snapshots)
+    delta = cfg.t_final - t1
+    g0 = test_poly(ens.snapshots[t0])
+    fd_samples = (test_poly(ens.terminal_points) - g0) / (cfg.t_final - t0)
+    rhs_samples = generalized_jacobi_op(test_poly, cfg.N)(ens.snapshots[t1])
+    lhs = float(np.mean(fd_samples))
+    rhs = float(np.mean(rhs_samples))
+    se = math.hypot(
+        float(np.std(fd_samples, ddof=1)) / math.sqrt(cfg.paths),
+        float(np.std(rhs_samples, ddof=1)) / math.sqrt(cfg.paths),
+    )
+    band = 3.0 * se + 10.0 * cfg.dt + delta**2
+    return lhs, rhs, band
 
 
 def _u2_marginals(t, c, u1s, N, inner, n_max):

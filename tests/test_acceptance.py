@@ -122,6 +122,7 @@ def test_criterion_9_monte_carlo_cross_validation(full_tier_reports):
         "mc.ks_1d",
         "mc.chi_square_2d",
         "mc.dirichlet_moments_k3",
+        "mc.generator_moment_k2",
     }
     assert set(mc) == expected
     ok = True

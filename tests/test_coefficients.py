@@ -8,13 +8,12 @@ from scipy.special import hyp1f1
 
 from jacobi_heat.coefficients import (
     closed_form_coefficient,
-    inversion_term_identity,
     laplace_quadrature,
     laplace_series,
-    neumann_identity_residual,
     solve_coefficients,
 )
 from jacobi_heat.special import jacobi_p, pochhammer
+from jacobi_heat.validate import inversion_term_identity, neumann_identity_residual
 
 from oracles import jacobi_2f1_exact
 

@@ -28,8 +28,10 @@ from oracles import harmonic_dimension, simplex_q, simplex_q_norm_sq
 
 
 def test_truncation_validation():
-    with pytest.raises(ValueError):
-        Truncation(n_max=0, tol=1e-10, achieved_bound=0.0)
+    for n_max in (0, 2.5, 3.0):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            Truncation(n_max=n_max, tol=1e-10, achieved_bound=0.0)
+    assert Truncation(n_max=np.int64(3), tol=1e-10, achieved_bound=0.0).n_max == 3
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be positive"):
             Truncation(n_max=3, tol=tol, achieved_bound=0.0)
@@ -68,6 +70,14 @@ def test_auto_truncation_refusals():
             auto_truncation(0.1, N, 1e-10)
     with pytest.raises(ValueError, match="N must be >= 3"):
         auto_truncation_2d(0.1, 2, 1e-10)
+    # a non-integer N reached the `range` of the term bound and raised TypeError
+    for N in (2.5, 3.0, math.nan):
+        with pytest.raises(ValueError, match="an integer"):
+            auto_truncation(0.5, N, 1e-10)
+        with pytest.raises(ValueError, match="an integer"):
+            auto_truncation_2d(0.5, N + 1, 1e-10)
+    assert auto_truncation(0.5, np.int64(3), 1e-10) == auto_truncation(0.5, 3, 1e-10)
+    assert auto_truncation_2d(0.5, np.int32(4), 1e-10) == auto_truncation_2d(0.5, 4, 1e-10)
     with pytest.raises(ValueError, match="t must be positive"):
         auto_truncation_2d(float("nan"), 4, 1e-10)
 

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from jacobi_heat.heat_kernel import auto_truncation
-from jacobi_heat.operators import (
-    face_derivative_identity,
-    generalized_jacobi_op,
-    heat_residual_1d,
-    operator_matrix,
-    script_l_k,
-)
+from jacobi_heat.operators import generalized_jacobi_op, operator_matrix, script_l_k
 from jacobi_heat.polynomials import SimplexPolynomial, dirichlet_weight_poly
 from jacobi_heat.simplex_jacobi import _jacobi_homogeneous
 from jacobi_heat.special import eigenvalue
+from jacobi_heat.validate import face_derivative_identity, heat_residual_1d
 
 
 def univariate(coeffs):

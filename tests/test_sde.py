@@ -12,9 +12,9 @@ from jacobi_heat.sde import (
     SdeConfig,
     _diffusion_increment,
     density_ks_check,
-    generator_moment_check,
     simulate,
 )
+from jacobi_heat.validate import generator_moment_check
 
 
 def test_config_validation():
@@ -28,6 +28,13 @@ def test_config_validation():
         SdeConfig(N=3, k=1, t_final=0.5, dt=1e-3, paths=0, seed=0)
     with pytest.raises(ValueError):
         SdeConfig(N=3, k=1, t_final=0.5, dt=1e-3, paths=10, seed=-1)
+    # non-integers were accepted (N, k) or failed later inside simulate (paths, seed)
+    for field_, value in [("N", 3.5), ("N", 3.0), ("k", 1.5), ("paths", 10.5), ("seed", 1.5)]:
+        kwargs = {**dict(N=3, k=1, t_final=0.5, dt=1e-3, paths=10, seed=0), field_: value}
+        with pytest.raises(ValueError, match=f"{field_} must be an integer"):
+            SdeConfig(**kwargs)
+    SdeConfig(N=np.int64(3), k=np.int32(1), t_final=0.5, dt=1e-3, paths=np.int64(10),
+              seed=np.uint64(2**63))
     for t_final, dt in [(math.inf, 1e-3), (math.nan, 1e-3), (0.5, math.nan), (0.5, 0.0)]:
         with pytest.raises(ValueError, match="positive and finite"):
             SdeConfig(N=3, k=1, t_final=t_final, dt=dt, paths=10, seed=0)
@@ -274,27 +281,49 @@ def test_chi_square_refuses_sparse_cells():
         )
 
 
+def _generator_ensemble(cfg, start):
+    # the stencil's snapshots at t - 2*delta and t - delta, as check_monte_carlo takes them
+    delta = max(round(0.05 * round(cfg.t_final / cfg.dt)), 10) * cfg.dt
+    return simulate(cfg, start, snapshot_times=(cfg.t_final - 2.0 * delta, cfg.t_final - delta))
+
+
 def test_generator_moment_check_trivial_and_linear():
     cfg = SdeConfig(N=4, k=2, t_final=0.3, dt=1e-3, paths=5000, seed=17)
-    start = np.array([0.3, 0.2])
-    const = SimplexPolynomial.constant(1.0, 2)
-    chk = generator_moment_check(cfg, start, const)
-    assert chk.lhs == 0.0 and chk.rhs == 0.0
-    # 5% of 310 steps is 15.5: the stencil takes whole steps, so its snapshots are on the grid
-    off = SdeConfig(N=4, k=2, t_final=0.31, dt=1e-3, paths=50, seed=17)
-    assert generator_moment_check(off, start, const).lhs == 0.0
-    linear = SimplexPolynomial.variable(0, 2)
-    chk = generator_moment_check(cfg, start, linear)
-    assert abs(chk.lhs - chk.rhs) <= chk.band
+    ens = _generator_ensemble(cfg, np.array([0.3, 0.2]))
+    lhs, rhs, _ = generator_moment_check(ens, SimplexPolynomial.constant(1.0, 2))
+    assert lhs == 0.0 and rhs == 0.0
+    lhs, rhs, band = generator_moment_check(ens, SimplexPolynomial.variable(0, 2))
+    assert abs(lhs - rhs) <= band
+    # the stencil needs exactly its two snapshots
+    for times in [(), (0.2,), (0.1, 0.2, 0.25)]:
+        with pytest.raises(ValueError):
+            generator_moment_check(
+                simulate(cfg, np.array([0.3, 0.2]), snapshot_times=times),
+                SimplexPolynomial.variable(0, 2),
+            )
 
 
 def test_generator_moment_check_cross_term():
     cfg = SdeConfig(N=4, k=2, t_final=0.3, dt=1e-3, paths=20000, seed=19)
-    cross = SimplexPolynomial({(1, 1): 1.0}, 2)
-    chk = generator_moment_check(cfg, np.array([0.3, 0.2]), cross)
-    assert abs(chk.lhs - chk.rhs) <= chk.band
+    ens = _generator_ensemble(cfg, np.array([0.3, 0.2]))
+    lhs, rhs, band = generator_moment_check(ens, SimplexPolynomial({(1, 1): 1.0}, 2))
+    assert abs(lhs - rhs) <= band
     with pytest.raises(ValueError):
-        generator_moment_check(cfg, np.array([0.3, 0.2]), SimplexPolynomial({(3, 2): 1.0}, 2))
+        generator_moment_check(ens, SimplexPolynomial({(3, 2): 1.0}, 2))
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, paths, times",
+    [(0.4, 1e-3, 2000, (0.36, 0.38)), (0.05, 5e-3, BLOCK_PATHS + 37, (0.0, 0.02, 0.05))],
+)
+def test_snapshots_leave_the_terminal_points_unchanged(t_final, dt, paths, times):
+    # the generator check reads snapshots of the chi-square ensemble, so they must not move it
+    cfg = SdeConfig(N=4, k=2, t_final=t_final, dt=dt, paths=paths, seed=2026)
+    plain = simulate(cfg, np.array([0.3, 0.2]))
+    with_snapshots = simulate(cfg, np.array([0.3, 0.2]), snapshot_times=times)
+    assert plain.terminal_points.tobytes() == with_snapshots.terminal_points.tobytes()
+    if t_final in times:
+        assert np.array_equal(with_snapshots.snapshots[t_final], plain.terminal_points)
 
 
 def test_export_csv_roundtrip(tmp_path):
