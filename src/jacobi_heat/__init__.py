@@ -19,7 +19,6 @@ from .coefficients import (
 )
 from .heat_kernel import (
     Truncation,
-    TruncationWarning,
     auto_truncation,
     auto_truncation_2d,
     density_1d_values,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .heat_kernel import _require_time_and_dimension, auto_truncation, kernel_series_1d
 from .quadrature import gauss_jacobi_rule
-from .special import jacobi_p, jacobi_table, pochhammer
+from .special import _require_integer, _require_unit_interval, jacobi_p, jacobi_table, pochhammer
 
 __all__ = [
     "solve_coefficients",
@@ -26,11 +26,6 @@ __all__ = [
     "laplace_series",
     "laplace_quadrature",
 ]
-
-
-def _require_start(c):
-    if not (0.0 <= c <= 1.0):
-        raise ValueError(f"c must lie in [0, 1], got {c}")
 
 
 def solve_coefficients(c, N, n_max):
@@ -51,11 +46,9 @@ def solve_coefficients(c, N, n_max):
     and every later entry round to zero, so the solve stops there (n = 139
     to 143 for N = 2 to 10) and the rest is 0.0.
     """
-    _require_start(c)
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _require_unit_interval("c", c)
+    _require_integer("N", N, 2)
+    _require_integer("n_max", n_max, 0)
     c_exact = Fraction(c)
     a = [Fraction(1)]
     rhs = Fraction(1)  # c^p / p!, updated per row
@@ -75,7 +68,8 @@ def solve_coefficients(c, N, n_max):
 
 
 def closed_form_coefficient(c, N, n):
-    """Closed form a_n = P_n^{N-2,0}(2c-1) / (N+n-1)_n."""
+    """Closed form a_n = P_n^{N-2,0}(2c-1) / (N+n-1)_n, for the integers N >= 2 the system has."""
+    _require_integer("N", N, 2)
     return jacobi_p(n, (N - 2.0, 0.0), 2.0 * c - 1.0) / pochhammer(N + n - 1.0, n)
 
 
@@ -92,9 +86,8 @@ def laplace_series(c, lam, t, N, n_max):
     from scipy.special import hyp1f1
 
     _require_time_and_dimension(t, N, 2)
-    _require_start(c)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _require_unit_interval("c", c)
+    _require_integer("n_max", n_max, 0)
     pc = jacobi_table(n_max, N - 2.0, 0.0, np.asarray(2.0 * c - 1.0))
     terms = []
     ratio = 1.0  # lam^n / (N+n-1)_n, carried as one factor so neither part overflows
@@ -121,7 +114,7 @@ def laplace_quadrature(c, lams, t, N):
     integrated by a rule sized from its degree.  Refuses c outside [0, 1],
     N < 2, t not finite and positive, and any lam with |lam| > 10 (or NaN).
     """
-    _require_start(c)
+    _require_unit_interval("c", c)
     if not all(abs(lam) <= 10.0 for lam in lams):
         raise ValueError(f"|lambda| must be <= 10, got {list(lams)}")
     tr = auto_truncation(t, N, 1e-13)

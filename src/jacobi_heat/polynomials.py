@@ -7,6 +7,8 @@ double-precision rounding; k = 1 is the univariate case.
 
 import numpy as np
 
+from .special import _require_integer
+
 __all__ = ["SimplexPolynomial", "dirichlet_weight_poly"]
 
 
@@ -67,10 +69,9 @@ class SimplexPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if exponent < 0 or exponent != int(exponent):
-            raise ValueError("only nonnegative integer powers are defined")
+        _require_integer("exponent", exponent, 0)
         out = SimplexPolynomial.constant(1.0, self.k)
-        for _ in range(int(exponent)):
+        for _ in range(exponent):
             out = out * self
         return out
 

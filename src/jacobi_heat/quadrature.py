@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import _require_exponent, _require_integer
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -29,6 +31,10 @@ def gauss_jacobi_rule(m, a, b):
     <= 2m-1.  Rules are built once per (m, a, b) and shared, so their nodes
     and weights are read-only.
     """
+    # checked before the cache, which would take 4.0 for a cached 4
+    _require_integer("m", m, 1)
+    _require_exponent("a", a)
+    _require_exponent("b", b)
     return _gauss_jacobi_rule(m, a, b)
 
 
@@ -37,10 +43,6 @@ def gauss_jacobi_rule(m, a, b):
 def _gauss_jacobi_rule(m, a, b):
     from scipy.special import roots_jacobi  # here, so that paths without a rule run on numpy alone
 
-    if m < 1:
-        raise ValueError(f"need at least one node, got m={m}")
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError(f"weight exponents must exceed -1, got ({a}, {b})")
     x, w = roots_jacobi(m, a, b)
     nodes = 0.5 * (x + 1.0)
     weights = w * 0.5 ** (a + b + 1.0)
@@ -65,8 +67,7 @@ def simplex_rule_2(m, N):
     (1-y)^{N-3} in y, so an m-point Gauss-Jacobi rule in each variable is
     exact for bivariate polynomials of total degree <= 2m-2.
     """
-    if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
+    _require_integer("N", N, 3)
     outer = gauss_jacobi_rule(m, N - 2.0, 0.0)
     inner = gauss_jacobi_rule(m, N - 3.0, 0.0)
     x = np.repeat(outer.nodes, m)

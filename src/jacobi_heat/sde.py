@@ -8,13 +8,13 @@ and the only tool covering three or more projected coordinates.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heat_kernel import cdf_1d_values, density_2d_values
+from .heat_kernel import auto_truncation, auto_truncation_2d, cdf_1d_values, density_2d_values
 from .quadrature import gauss_jacobi_rule
+from .special import _require_integer, _require_positive
 
 __all__ = [
     "SdeConfig",
@@ -48,28 +48,28 @@ class SdeConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("N", "k", "paths", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.N < 2 or not (1 <= self.k <= self.N - 1):
-            raise ValueError(f"need N >= 2 and 1 <= k <= N-1, got N={self.N}, k={self.k}")
-        if not (0.0 < self.t_final < math.inf and 0.0 < self.dt < math.inf):
-            raise ValueError("t_final and dt must be positive and finite")
+        _require_integer("N", self.N, 2)
+        _require_integer("k", self.k, 1)
+        if self.k > self.N - 1:
+            raise ValueError(f"need k <= N-1, got N={self.N}, k={self.k}")
+        _require_positive("t_final", self.t_final)
+        _require_positive("dt", self.dt)
         if self.dt > self.t_final / 10.0:
             raise ValueError(f"dt = {self.dt} too coarse for t_final = {self.t_final}")
         _whole_steps(self.t_final, self.dt, "t_final")
-        if self.paths < 1:
-            raise ValueError("paths must be positive")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _require_integer("paths", self.paths, 1)
+        _require_integer("seed", self.seed, 0)
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Terminal points (and optional intermediate snapshots) of a simulation."""
+    """Terminal points (and optional intermediate snapshots) of a simulation from start."""
 
     terminal_points: np.ndarray  # shape (paths, k)
     config: SdeConfig
+    start: np.ndarray  # shape (k,)
     snapshots: dict = field(default_factory=dict)  # time -> (paths, k) array
 
 
@@ -168,7 +168,7 @@ def simulate(cfg, start, snapshot_times=()):
     block) pairs get distinct streams; SeedSequence((seed, b)) would not
     guarantee that, since it pads short entropy with zero words.
     """
-    start = np.asarray(start, dtype=float)
+    start = np.array(start, dtype=float)
     if start.shape != (cfg.k,):
         raise ValueError(f"start must have shape ({cfg.k},), got {start.shape}")
     if not (np.all(start >= 0.0) and start.sum() <= 1.0 + 1e-12):
@@ -190,26 +190,28 @@ def simulate(cfg, start, snapshot_times=()):
         rng = np.random.Generator(np.random.SFC64(seq))
         block_dests = {step: [a[lo:hi] for a in arrays] for step, arrays in dests.items()}
         _simulate_block(cfg, start, rng, hi - lo, n_steps, block_dests)
-    return PathEnsemble(terminal_points=terminal, config=cfg, snapshots=snapshots)
+    return PathEnsemble(terminal_points=terminal, config=cfg, start=start, snapshots=snapshots)
 
 
-def density_ks_check(ens, t, c, tr, grid_bins=5):
-    """Goodness-of-fit statistic of an ensemble against the density f_t(c, .) at its N, cut at tr.
+def density_ks_check(ens, grid_bins=5):
+    """Goodness-of-fit statistic of an ensemble against its own law f_t(c, .).
 
-    k = 1: the Kolmogorov-Smirnov statistic between the empirical terminal
-    CDF and the series' closed-form CDF, which is within tr.achieved_bound/(N-1)
-    of the exact one.  k = 2: Pearson's chi-square over grid_bins^2 cells of
+    N, t = config.t_final and c = start come from the ensemble, and the series
+    is cut where its certified tail falls below 1e-10.  k = 1: the
+    Kolmogorov-Smirnov statistic between the empirical terminal CDF and the
+    series' closed-form CDF, which is within 1e-10/(N-1) of the exact one.
+    k = 2: Pearson's chi-square over grid_bins^2 cells (grid_bins >= 2) of
     the square (u1, u2/(1-u1)), with expected counts from one density call on
     every cell's 8x8 Gauss-Legendre nodes; cells with expected count below 5
     make the check refuse.
     """
-    k = ens.config.k
-    N = ens.config.N
+    _require_integer("grid_bins", grid_bins, 2)
+    k, N, t = ens.config.k, ens.config.N, ens.config.t_final
     pts = ens.terminal_points
     n = len(pts)
     if k == 1:
         xs = np.sort(pts[:, 0])
-        cdf = cdf_1d_values(t, c, xs, N, tr)
+        cdf = cdf_1d_values(t, ens.start[0], xs, N, auto_truncation(t, N, 1e-10))
         i = np.arange(1, n + 1)
         return float(np.max(np.maximum(np.abs(i / n - cdf), np.abs((i - 1) / n - cdf))))
     if k == 2:
@@ -218,7 +220,8 @@ def density_ks_check(ens, t, c, tr, grid_bins=5):
         width = edges[1] - edges[0]
         y = (edges[:-1, None] + width * rule.nodes).ravel()  # the nodes of every bin, bin-major
         u1 = np.repeat(y, len(y))
-        f = density_2d_values(t, c, np.column_stack([u1, (1.0 - u1) * np.tile(y, len(y))]), N, tr)
+        cell_pts = np.column_stack([u1, (1.0 - u1) * np.tile(y, len(y))])
+        f = density_2d_values(t, ens.start, cell_pts, N, auto_truncation_2d(t, N, 1e-10))
         f *= 1.0 - u1  # the Jacobian of u2 = (1-u1) y
         f = f.reshape(grid_bins, 8, grid_bins, 8)
         expected = width * width * np.einsum("a,iajb,b->ij", rule.weights, f, rule.weights)

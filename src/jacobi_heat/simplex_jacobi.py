@@ -9,6 +9,7 @@ degree n.
 """
 
 from .polynomials import SimplexPolynomial
+from .special import _require_integer
 
 __all__ = ["simplex_q_polynomial"]
 
@@ -43,11 +44,10 @@ def simplex_q_polynomial(idx, N):
     dividing by h.  This form feeds the differential-operator eigenchecks
     without differentiating through the removable singularity.
     """
-    if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
+    _require_integer("N", N, 3)
     n, j = idx
-    if not (0 <= j <= n):
-        raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
+    _require_integer("j", j, 0)
+    _require_integer("n", n, j)
     one = SimplexPolynomial.constant(1.0, 2)
     u1 = SimplexPolynomial.variable(0, 2)
     h = one - u1

@@ -2,8 +2,12 @@
 
 All routines are pure functions of their arguments.  Jacobi polynomials
 come from the plain three-term recurrence; the heat-kernel series built on
-them (heat_kernel) are summed in ordinary double precision.
+them (heat_kernel) are summed in ordinary double precision.  Every module's
+argument checks live here too, at the bottom of the import graph.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -15,12 +19,35 @@ __all__ = [
 ]
 
 
+def _require_integer(name, value, floor):
+    # numpy's integer types register as Integral; floats, even whole ones, do not
+    if not isinstance(value, numbers.Integral) or value < floor:
+        raise ValueError(f"{name} must be >= {floor} and an integer, got {value!r}")
+
+
+def _require_positive(name, value):
+    # NaN fails every comparison, so only this form refuses it
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_unit_interval(name, x):
+    a = np.asarray(x, dtype=float)
+    # NaN fails every comparison, so only this form refuses it
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+
+
+def _require_exponent(name, value):
+    if not (-1.0 < value < math.inf):
+        raise ValueError(f"{name} must lie in (-1, inf), got {value!r}")
+
+
 def pochhammer(a, m):
     """Rising factorial a(a+1)...(a+m-1); the empty product (m = 0) is 1."""
-    if m < 0 or m != int(m):
-        raise ValueError(f"pochhammer order must be a nonnegative integer, got {m}")
+    _require_integer("pochhammer order", m, 0)
     out = 1.0
-    for i in range(int(m)):
+    for i in range(m):
         out *= a + i
     return out
 
@@ -59,20 +86,19 @@ def _jacobi_step(n, alpha, beta, x, p1, p2):
 def jacobi_p(n, params, x):
     """Jacobi polynomial P_n^{alpha,beta}(x) on [-1, 1].
 
-    n: nonnegative degree
-    params: (alpha, beta) pair with alpha, beta > -1
+    n: nonnegative integer degree
+    params: (alpha, beta) pair with alpha, beta in (-1, inf)
     x: scalar or ndarray; NaN and values with |x| > 1 + 1e-12 are refused
     """
     alpha, beta = params
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ValueError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    _require_exponent("alpha", alpha)
+    _require_exponent("beta", beta)
+    _require_integer("degree", n, 0)
     xa = np.asarray(x, dtype=float)
     # NaN fails every comparison, so only the `<=` form refuses it
     if not np.all(np.abs(xa) <= 1.0 + 1e-12):
         raise ValueError("Jacobi polynomial argument outside [-1, 1]")
-    val = jacobi_table(int(n), alpha, beta, xa)[int(n)]
+    val = jacobi_table(n, alpha, beta, xa)[n]
     return float(val) if np.ndim(x) == 0 else val
 
 

@@ -7,11 +7,13 @@ also yields the byte-identical-report determinism check).
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from jacobi_heat import validate
@@ -73,6 +75,25 @@ def test_criterion_7_boundary_dichotomy():
 
 def test_criterion_8_laplace_transform():
     run_group(8, validate.check_laplace(), 5.0)
+
+
+def _nan_series(t, c, u, N, n_max, mode_factors=None):
+    return np.full(np.shape(u), math.nan), 0.0
+
+
+@pytest.mark.parametrize(
+    "group, name, patched, stub",
+    [
+        (validate.check_laplace, "laplace.series_vs_quadrature", "laplace_series", lambda *a: math.nan),
+        (validate.check_neumann, "coefficients.neumann_identity", "jv", lambda *a: math.nan),
+        (validate.check_heat_residual, "operators.heat_residual_1d", "kernel_series_1d", _nan_series),
+    ],
+)
+def test_a_nan_residual_fails_its_check(monkeypatch, group, name, patched, stub):
+    # max(worst, nan) keeps worst, which measured 0.0 and passed these checks
+    monkeypatch.setattr(validate, patched, stub)
+    (check,) = [c for c in group() if c["check_name"] == name]
+    assert math.isnan(check["measured"]) and not check["pass"]
 
 
 @pytest.fixture(scope="module")

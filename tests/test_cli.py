@@ -229,7 +229,7 @@ def test_public_names_are_the_routes():
     names = [n for n, v in vars(jacobi_heat).items() if not (n[0] == "_" or inspect.ismodule(v))]
     assert sorted(names) == [
         "PathEnsemble", "QuadratureRule", "SdeConfig", "SimplexPolynomial", "Truncation",
-        "TruncationWarning", "auto_truncation", "auto_truncation_2d", "closed_form_coefficient",
+        "auto_truncation", "auto_truncation_2d", "closed_form_coefficient",
         "density_1d_values", "density_2d_values", "density_ks_check", "eigenvalue",
         "gauss_jacobi_rule", "generalized_jacobi_op", "jacobi_p", "laplace_quadrature",
         "laplace_series", "pochhammer", "script_l_k", "simplex_q_polynomial", "simplex_rule_2",

@@ -95,8 +95,13 @@ def test_table_validation():
         solve_coefficients(-0.1, 3, 5)
     with pytest.raises(ValueError):
         solve_coefficients(0.5, 1, 5)
+    # a non-integer N or n_max reached Fraction or range and raised TypeError
+    for c, N, n_max in [(0.3, 3, -1), (0.3, 3.5, 5), (0.3, 3, 2.5)]:
+        with pytest.raises(ValueError):
+            solve_coefficients(c, N, n_max)
+    # the closed form takes only the N the system has; it returned -0.01214 at N = 1.5
     with pytest.raises(ValueError):
-        solve_coefficients(0.3, 3, -1)
+        closed_form_coefficient(0.3, 1.5, 2)
 
 
 def test_neumann_residual_vanishes_at_origin():
@@ -143,7 +148,8 @@ def test_laplace_rejects_bad_time():
 def test_laplace_refuses_bad_input():
     nan = float("nan")
     # the series takes any lambda
-    for c, N, n_max in [(1.5, 3, 10), (-0.1, 3, 10), (nan, 3, 10), (0.3, 1, 10), (0.3, 3, -1)]:
+    for c, N, n_max in [(1.5, 3, 10), (-0.1, 3, 10), (nan, 3, 10), (0.3, 1, 10), (0.3, 3, -1),
+                        (0.3, 3, 2.5)]:
         with pytest.raises(ValueError):
             laplace_series(c, 1.0, 0.3, N, n_max)
     # the quadrature refuses any lambda outside [-10, 10]

@@ -1,6 +1,5 @@
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from jacobi_heat.heat_kernel import (
     Truncation,
-    TruncationWarning,
     _term_bound_1d,
     _term_bound_2d,
     auto_truncation,
@@ -158,8 +156,7 @@ def test_empty_point_sets_give_empty_densities():
         assert values.shape == (0,) and last == 0.0
     for pts in ([], np.empty((0, 2))):
         assert density_2d_values(0.5, (0.2, 0.2), pts, 4, tr2).shape == (0,)
-        values, last = kernel_series_2d(0.5, (0.2, 0.2), pts, 4, tr2.n_max)
-        assert values.shape == (0,) and last == 0.0
+        assert kernel_series_2d(0.5, (0.2, 0.2), pts, 4, tr2.n_max).shape == (0,)
 
 
 def test_density_1d_stationary_limit():
@@ -242,17 +239,39 @@ def test_cdf_1d_is_the_integral_of_the_truncated_density(N, t, c):
     assert abs(got[-1] - 1.0) <= tr.achieved_bound
 
 
-def test_truncation_warning_fires_on_bogus_certificate():
+def test_densities_refuse_a_certificate_below_the_first_omitted_term():
     bogus = Truncation(n_max=2, tol=1e-16, achieved_bound=1e-16)
-    with pytest.warns(TruncationWarning):
-        density_1d_values(0.05, 0.3, np.array([0.2]), 3, bogus)
+    for values in (density_1d_values, cdf_1d_values):
+        with pytest.raises(ValueError, match="below the proven bound on mode 3"):
+            values(0.05, 0.3, np.array([0.2]), 3, bogus)
+    with pytest.raises(ValueError, match="below the proven bound on mode 3"):
+        density_2d_values(0.05, (0.3, 0.2), [(0.2, 0.2)], 4, bogus)
+    with pytest.raises(ValueError, match="below the proven bound"):
+        density_1d_values(0.5, 0.3, 0.2, 3, Truncation(n_max=20, tol=1e-10, achieved_bound=math.nan))
 
 
-def test_no_warning_for_auto_truncation():
-    tr = auto_truncation(0.1, 3, 1e-10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        density_1d_values(0.1, 0.3, np.array([0.2, 0.6]), 3, tr)
+# per dimension: the certifier, its term bound, the functions that take its
+# certificates, a start and a point, and the smallest N and t drawn
+_CERTIFIERS = {
+    1: (auto_truncation, _term_bound_1d, (density_1d_values, cdf_1d_values), 0.3, 0.4, 2, 1e-4),
+    2: (auto_truncation_2d, _term_bound_2d, (density_2d_values,), (0.3, 0.2), [(0.4, 0.1)], 3, 1e-3),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=50)
+@given(st.data())
+def test_issued_certificates_are_accepted_and_halved_ones_refused(dim, data):
+    certify, term_bound, functions, c, u, N_min, t_min = _CERTIFIERS[dim]
+    N = data.draw(st.integers(N_min, 10))
+    t = math.exp(data.draw(st.floats(math.log(t_min), math.log(2.0))))
+    tol = math.exp(data.draw(st.floats(math.log(1e-14), math.log(1e-6))))
+    tr = certify(t, N, tol)
+    halved = Truncation(tr.n_max, tol, term_bound(tr.n_max + 1, t, N) / 2.0)
+    for values in functions:
+        assert np.all(np.isfinite(values(t, c, u, N, tr)))
+        with pytest.raises(ValueError, match="below the proven bound"):
+            values(t, c, u, N, halved)
 
 
 def test_eigen_transform_trivial_and_first_modes():
@@ -343,7 +362,7 @@ def test_density_2d_marginal_matches_1d_and_ignores_c2():
     pts = np.column_stack([np.full(len(inner.nodes), u1), (1.0 - u1) * inner.nodes])
     marginals = []
     for c2 in (0.05, 0.3, 0.6):
-        series, _ = kernel_series_2d(t, (0.3, c2), pts, N, tr2.n_max)
+        series = kernel_series_2d(t, (0.3, c2), pts, N, tr2.n_max)
         marginals.append((1.0 - u1) ** (N - 2) * float(np.dot(inner.weights, series)))
     want = float(density_1d_values(t, 0.3, u1, N, tr1))
     for m in marginals:
@@ -365,7 +384,7 @@ def test_density_2d_reversibility():
 def test_kernel_series_2d_is_the_simplex_q_sum(c):
     N, t, n_max = 4, 0.2, 8
     pts = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.3, 0.5), (0.6, 0.1)]
-    got, _ = kernel_series_2d(t, c, pts, N, n_max)
+    got = kernel_series_2d(t, c, pts, N, n_max)
     want = [
         sum(
             math.exp(-eigenvalue(n, N) * t)
@@ -407,7 +426,7 @@ _POINTS_2D = [(0.2, 0.3), (0.6, 0.1), (0.05, 0.9), (0.0, 0.0), (0.0, 1.0), (0.5,
 @pytest.mark.parametrize("c", [(0.2, 0.3), (1.0, 0.0), (0.35, 0.65)])
 def test_kernel_series_2d_matches_an_exactly_rounded_sum(N, t, c):
     n_max = auto_truncation_2d(t, N, 1e-12).n_max
-    got, _ = kernel_series_2d(t, c, _POINTS_2D, N, n_max)
+    got = kernel_series_2d(t, c, _POINTS_2D, N, n_max)
     terms = _series_2d_terms(t, c, _POINTS_2D, N, n_max)
     for i in range(len(_POINTS_2D)):
         ref = math.fsum(terms[:, i])
@@ -424,21 +443,21 @@ def _points_sharing_u1():
 def test_kernel_series_2d_values_do_not_depend_on_the_other_points(N, t):
     c, pts = (0.3, 0.2), _points_sharing_u1()
     n_max = auto_truncation_2d(t, N, 1e-12).n_max
-    full, _ = kernel_series_2d(t, c, pts, N, n_max)
+    full = kernel_series_2d(t, c, pts, N, n_max)
     rng = np.random.default_rng(N)
     order = rng.permutation(len(pts))
-    assert kernel_series_2d(t, c, pts[order], N, n_max)[0].tobytes() == full[order].tobytes()
+    assert kernel_series_2d(t, c, pts[order], N, n_max).tobytes() == full[order].tobytes()
     for size in (2, 5, 17):
         subset = rng.choice(len(pts), size=size, replace=False)
-        assert kernel_series_2d(t, c, pts[subset], N, n_max)[0].tobytes() == full[subset].tobytes()
+        assert kernel_series_2d(t, c, pts[subset], N, n_max).tobytes() == full[subset].tobytes()
 
 
 @pytest.mark.parametrize("N, t", [(4, 0.05), (6, 2e-3)])
 def test_kernel_series_2d_shared_u1_matches_one_point_calls(N, t):
     c, pts = (0.3, 0.2), _points_sharing_u1()
     n_max = auto_truncation_2d(t, N, 1e-12).n_max
-    full, _ = kernel_series_2d(t, c, pts, N, n_max)
-    one_at_a_time = np.array([kernel_series_2d(t, c, [p], N, n_max)[0][0] for p in pts])
+    full = kernel_series_2d(t, c, pts, N, n_max)
+    one_at_a_time = np.array([kernel_series_2d(t, c, [p], N, n_max)[0] for p in pts])
     assert full.tobytes() == one_at_a_time.tobytes()
 
 
@@ -471,7 +490,7 @@ def test_density_2d_u2_marginal_is_the_1d_density(case):
     # the series is a polynomial of degree n_max in u2, which this rule integrates exactly
     inner = gauss_jacobi_rule(tr2.n_max // 2 + 1, N - 3.0, 0.0)
     pts = np.column_stack([np.full(len(inner.nodes), u1), (1.0 - u1) * inner.nodes])
-    series, _ = kernel_series_2d(t, c, pts, N, tr2.n_max)
+    series = kernel_series_2d(t, c, pts, N, tr2.n_max)
     marginal = (1.0 - u1) ** (N - 2) * float(np.dot(inner.weights, series))
     want = float(density_1d_values(t, c[0], u1, N, auto_truncation(t, N, 1e-12)))
     assert abs(marginal - want) <= 1e-10 * max(1.0, abs(want))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jacobi_heat.heat_kernel import auto_truncation, auto_truncation_2d, density_2d_values
+from jacobi_heat.heat_kernel import auto_truncation_2d, density_2d_values
 from jacobi_heat.polynomials import SimplexPolynomial
 from jacobi_heat.sde import (
     BLOCK_PATHS,
@@ -31,7 +31,7 @@ def test_config_validation():
     # non-integers were accepted (N, k) or failed later inside simulate (paths, seed)
     for field_, value in [("N", 3.5), ("N", 3.0), ("k", 1.5), ("paths", 10.5), ("seed", 1.5)]:
         kwargs = {**dict(N=3, k=1, t_final=0.5, dt=1e-3, paths=10, seed=0), field_: value}
-        with pytest.raises(ValueError, match=f"{field_} must be an integer"):
+        with pytest.raises(ValueError, match=f"{field_} must be >= \\d+ and an integer"):
             SdeConfig(**kwargs)
     SdeConfig(N=np.int64(3), k=np.int32(1), t_final=0.5, dt=1e-3, paths=np.int64(10),
               seed=np.uint64(2**63))
@@ -196,34 +196,30 @@ def test_stationary_dirichlet_moments():
         assert abs(float(np.mean(pts[:, i] ** 2)) - want2) <= 3.0 * se2 + 5.0 * cfg.dt
 
 
-def _beta_ensemble(a, b, paths, seed):
-    """Terminal points drawn straight from Beta(a, b), labelled as an N = 3 ensemble."""
-    draws = np.random.default_rng(seed).beta(a, b, size=(paths, 1))
-    cfg = SdeConfig(N=3, k=1, t_final=1.0, dt=1e-2, paths=paths, seed=0)
-    return PathEnsemble(terminal_points=draws, config=cfg)
-
-
 # at t = 50 only the constant mode survives: the stationary Beta(1, N-1) law
 T_STATIONARY = 50.0
 
 
+def _beta_ensemble(a, b, paths, seed):
+    """Terminal points drawn straight from Beta(a, b), labelled as an N = 3 ensemble at T_STATIONARY."""
+    draws = np.random.default_rng(seed).beta(a, b, size=(paths, 1))
+    cfg = SdeConfig(N=3, k=1, t_final=T_STATIONARY, dt=1e-2, paths=paths, seed=0)
+    return PathEnsemble(terminal_points=draws, config=cfg, start=np.array([0.3]))
+
+
 def test_ks_accepts_identically_distributed_sample():
-    ens = _beta_ensemble(1.0, 2.0, 10000, 77)
-    stat = density_ks_check(ens, T_STATIONARY, 0.3, auto_truncation(T_STATIONARY, 3, 1e-10))
+    stat = density_ks_check(_beta_ensemble(1.0, 2.0, 10000, 77))
     assert stat <= 1.63 / math.sqrt(10000)
 
 
 def test_ks_detects_wrong_law():
-    ens = _beta_ensemble(3.0, 1.5, 10000, 78)
-    stat = density_ks_check(ens, T_STATIONARY, 0.3, auto_truncation(T_STATIONARY, 3, 1e-10))
+    stat = density_ks_check(_beta_ensemble(3.0, 1.5, 10000, 78))
     assert stat > 10.0 * 1.63 / math.sqrt(10000)
 
 
 def test_ks_against_transition_density():
-    N, t, c = 3, 0.5, 0.3
-    cfg = SdeConfig(N=N, k=1, t_final=t, dt=1e-3, paths=20000, seed=13)
-    ens = simulate(cfg, np.array([c]))
-    stat = density_ks_check(ens, t, c, auto_truncation(t, N, 1e-10))
+    cfg = SdeConfig(N=3, k=1, t_final=0.5, dt=1e-3, paths=20000, seed=13)
+    stat = density_ks_check(simulate(cfg, np.array([0.3])))
     assert stat <= 3.0 * 1.63 / math.sqrt(cfg.paths)
 
 
@@ -231,10 +227,9 @@ def test_ks_statistic_memory_is_linear_in_the_paths():
     # the closed-form CDF needs a few arrays of the paths' size, not 16 density
     # evaluations per path
     ens = _beta_ensemble(1.0, 2.0, 2 * 10**5, 79)
-    tr = auto_truncation(T_STATIONARY, 3, 1e-10)
     tracemalloc.start()
     try:
-        density_ks_check(ens, T_STATIONARY, 0.3, tr)
+        density_ks_check(ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,22 +258,22 @@ def test_chi_square_matches_per_cell_integration():
     observed = np.zeros((bins, bins))
     np.add.at(observed, (ix, iy), 1.0)
     want = float(np.sum((observed - expected) ** 2 / expected))
-    assert density_ks_check(ens, t, c, tr, grid_bins=bins) == pytest.approx(want, rel=1e-12)
+    assert density_ks_check(ens, grid_bins=bins) == pytest.approx(want, rel=1e-12)
 
 
 def test_chi_square_refuses_sparse_cells():
     N, t, c = 4, 0.2, (0.3, 0.2)
     ens = simulate(SdeConfig(N=N, k=2, t_final=t, dt=1e-3, paths=200, seed=3), np.array(c))
     with pytest.raises(ValueError, match="insufficient paths"):
-        density_ks_check(ens, t, c, auto_truncation_2d(t, N, 1e-10), grid_bins=5)
+        density_ks_check(ens, grid_bins=5)
+    # 0 and -1 raised IndexError, 2.0 TypeError, and 1 left no degrees of freedom
+    for bins in (0, 1, -1, 2.0):
+        with pytest.raises(ValueError, match="grid_bins must be >= 2"):
+            density_ks_check(ens, grid_bins=bins)
     cfg = SdeConfig(N=6, k=3, t_final=1.0, dt=1e-2, paths=100, seed=0)
+    ens = PathEnsemble(terminal_points=np.zeros((100, 3)), config=cfg, start=np.full(3, 0.1))
     with pytest.raises(ValueError, match="no closed-form density"):
-        density_ks_check(
-            PathEnsemble(terminal_points=np.zeros((100, 3)), config=cfg),
-            1.0,
-            (0.1, 0.1, 0.1),
-            auto_truncation_2d(1.0, 6, 1e-10),
-        )
+        density_ks_check(ens)
 
 
 def _generator_ensemble(cfg, start):

@@ -16,6 +16,9 @@ def test_index_and_point_validation():
             simplex_q_polynomial(idx, 4)
     with pytest.raises(ValueError):
         simplex_q_polynomial((1, 0), 2)
+    for idx, N in [((2, 1), 3.5), ((2.5, 1), 4)]:
+        with pytest.raises(ValueError):
+            simplex_q_polynomial(idx, N)
 
 
 def test_q_constant_mode():
