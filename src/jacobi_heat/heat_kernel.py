@@ -74,34 +74,30 @@ def _term_bound_2d(n, t, N):
     return (N - 2) * _term_bound_1d(n, t, N)
 
 
+def _tail_bound(n_max, t, N, term_bound):
+    """Proven bound on the sum of the term bounds b_n past n_max.
+
+    The ratio r_n = b_{n+1}/b_n = (2n+N+1)/(2n+N-1) ((n+N-1)/(n+1))^2 e^{-(2n+N)t}
+    is a product of three factors that each fall with n, so r_n falls strictly,
+    and the tail is at most b_{n_max+1} (1 + r + r^2 + ...) = b_{n_max+1}/(1 - r)
+    with r = r_{n_max+1}.  While r >= 1 the geometric series gives no bound: inf.
+    """
+    m = n_max + 1
+    b = term_bound(m, t, N)
+    if not math.isfinite(b):
+        raise ValueError(f"t = {t} too small: the tail bound overflows at mode {m}")
+    r = (2 * m + N + 1) / (2 * m + N - 1) * ((m + N - 1) / (m + 1)) ** 2
+    r *= math.exp(-(2 * m + N) * t)
+    return b / (1.0 - r) if r < 1.0 else math.inf
+
+
 def _auto_truncation(t, N, tol, term_bound):
     _require_positive("tol", tol)
-    bounds = [term_bound(0, t, N)]
-    n = 0
-    while True:
-        n += 1
-        if n > MAX_MODES:
-            raise ValueError(
-                f"t = {t} too small: truncation would exceed {MAX_MODES} modes"
-            )
-        bounds.append(term_bound(n, t, N))
-        if not math.isfinite(bounds[n]):
-            # an overflowed bound stays non-finite, so the stopping test could never fire
-            raise ValueError(f"t = {t} too small: the tail bound overflows at mode {n}")
-        if n >= 2 and bounds[n] < bounds[n - 1] and bounds[n] < tol * 1e-6:
-            break
-    # geometric remainder for everything past the scan
-    r = bounds[-1] / bounds[-2] if bounds[-2] > 0.0 else 0.0
-    remainder = bounds[-1] * r / (1.0 - r) if r < 1.0 else math.inf
-    tail = remainder
-    suffix = [0.0] * len(bounds)
-    for i in range(len(bounds) - 1, -1, -1):
-        suffix[i] = tail
-        tail += bounds[i]
-    for n_max in range(1, len(bounds)):
-        if suffix[n_max] <= tol:
-            return Truncation(n_max=n_max, tol=tol, achieved_bound=suffix[n_max])
-    raise ValueError(f"could not certify tolerance {tol} at t = {t}")  # pragma: no cover
+    for n_max in range(1, MAX_MODES + 1):
+        bound = _tail_bound(n_max, t, N, term_bound)
+        if bound <= tol:
+            return Truncation(n_max=n_max, tol=tol, achieved_bound=bound)
+    raise ValueError(f"t = {t} too small: truncation would exceed {MAX_MODES} modes")
 
 
 def auto_truncation(t, N, tol):
@@ -145,19 +141,17 @@ def _require_time_and_dimension(t, N, N_min):
 
 
 def _require_certificate(tr, t, N, term_bound):
-    # the proven bound on the first omitted term is part of every tail bound
-    # _auto_truncation issues; NaN fails the comparison and is refused too
-    if not tr.achieved_bound >= term_bound(tr.n_max + 1, t, N):
+    # the one bound _auto_truncation issues; NaN fails the comparison and is refused too
+    if not tr.achieved_bound >= _tail_bound(tr.n_max, t, N, term_bound):
         raise ValueError(f"achieved_bound {tr.achieved_bound!r} is below the proven bound on mode "
-                         f"{tr.n_max + 1} alone at t = {t}, N = {N}")
+                         f"{tr.n_max + 1} and beyond at t = {t}, N = {N}")
 
 
 def density_1d_values(t, c, u, N, tr):
     """Vectorized 1-D density f_t(c, u) including the (1-u)^{N-2} weight.
 
     Refuses t not finite and positive, N < 2, c or any u outside [0, 1], and
-    a tr whose achieved_bound is below the proven bound on its first omitted
-    term.
+    a tr whose achieved_bound is below the proven tail bound past its n_max.
     """
     _require_time_and_dimension(t, N, 2)
     _require_unit_interval("c", c)
@@ -254,7 +248,7 @@ def density_2d_values(t, c, pts, N, tr):
 
     Refuses t not finite and positive, N < 3, a c that is not a point of the
     closed 2-simplex, any point outside it, and a tr whose achieved_bound is
-    below the proven bound on its first omitted shell.
+    below the proven tail bound past its n_max.
     """
     _require_time_and_dimension(t, N, 3)
     pts = np.reshape(np.asarray(pts, dtype=float), (-1, 2))

@@ -11,6 +11,7 @@ be asserted coefficient-wise.
 import numpy as np
 
 from .polynomials import SimplexPolynomial
+from .special import _require_integer
 
 __all__ = [
     "generalized_jacobi_op",
@@ -38,8 +39,7 @@ def script_l_k(f, N):
 def _second_order_op(f, N, const, slope):
     """const f + sum_i (1+slope u_i) d_i f + sum_i (u_i-u_i^2) d_ii f - sum_{i!=j} u_iu_j d_ij f."""
     k = f.k
-    if k > N - 1:
-        raise ValueError(f"need k <= N-1, got k={k}, N={N}")
+    _require_integer("N", N, k + 1)
     out = float(const) * f
     one = SimplexPolynomial.constant(1.0, k)
     firsts = [f.partial(i) for i in range(k)]
@@ -61,6 +61,8 @@ def operator_matrix(k, N, max_degree):
     total degree <= max_degree in graded order.  Used to read off the
     spectrum of the generator on low-degree polynomials.
     """
+    _require_integer("k", k, 1)
+    _require_integer("max_degree", max_degree, 0)
     exponents = []
     for d in range(max_degree + 1):
         exponents.extend(_exponents_of_degree(d, k))

@@ -16,6 +16,7 @@ class SimplexPolynomial:
     """Polynomial in k variables stored as {exponent tuple: coefficient}."""
 
     def __init__(self, terms, k):
+        _require_integer("k", k, 1)
         self.k = int(k)
         self.terms = {}
         for expo, coeff in terms.items():
@@ -136,8 +137,8 @@ def dirichlet_weight_poly(k, N):
 
     Requires integer N >= k+1 so the exponent is a nonnegative integer.
     """
-    if N < k + 1:
-        raise ValueError(f"need N >= k+1 for a polynomial weight, got N={N}, k={k}")
+    _require_integer("k", k, 1)
+    _require_integer("N", N, k + 1)
     base = SimplexPolynomial.constant(1.0, k)
     for i in range(k):
         base = base - SimplexPolynomial.variable(i, k)

@@ -9,48 +9,40 @@ degree n.
 """
 
 from .polynomials import SimplexPolynomial
-from .special import _require_integer
+from .special import _require_integer, pochhammer
 
 __all__ = ["simplex_q_polynomial"]
 
 
-def _jacobi_homogeneous(n, alpha, beta, w, h):
-    """h^n P_n^{alpha,beta}(w/h) as a SimplexPolynomial, for SimplexPolynomials w and h.
+def _jacobi_sum(n, alpha, beta, p, q):
+    """sum_s C(n+alpha, n-s) C(n+beta, s) p^s q^{n-s} for SimplexPolynomials p, q (DLMF 18.5.8).
 
-    Runs the three-term recurrence of P_m with its m-th step multiplied by
-    h^m, so every step stays polynomial; h = 1 gives P_n(w) itself.
+    p = (x-1)/2 and q = (x+1)/2 give P_n^{alpha,beta}(x); the sum is
+    homogeneous of degree n in (p, q), so p and q scaled by h give h^n P_n(x).
+    C(a, m) is (a-m+1)_m / m!, exact for integer alpha and beta.
     """
-    prev, cur = None, h**0
-    for m in range(1, n + 1):
-        if m == 1:
-            nxt = 0.5 * ((alpha + beta + 2.0) * w + (alpha - beta) * h)
-        else:
-            # special._jacobi_step with the constant of c1 times h and p2 times h^2
-            s = 2.0 * m + alpha + beta
-            c0 = 2.0 * m * (m + alpha + beta) * (s - 2.0)
-            c1 = (s - 1.0) * (s * (s - 2.0) * w + (alpha * alpha - beta * beta) * h)
-            c2 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s
-            nxt = (c1 * cur - c2 * (h * h) * prev) * (1.0 / c0)
-        prev, cur = cur, nxt
-    return cur
+    out = SimplexPolynomial({}, p.k)
+    for s in range(n + 1):
+        c = pochhammer(alpha + s + 1.0, n - s) / pochhammer(1.0, n - s)
+        c *= pochhammer(beta + n - s + 1.0, s) / pochhammer(1.0, s)
+        out = out + c * p**s * q ** (n - s)
+    return out
 
 
 def simplex_q_polynomial(idx, N):
     """Q_{n-j,j} as an exact bivariate polynomial (coefficient expansion).
 
-    The outer factor is P_{n-j}^{N-2+2j,0}(2u1-1); the inner factor
-    (1-u1)^j P_j^{N-3,0}(2u2/(1-u1) - 1) is h^j P_j(w/h) with h = 1-u1 and
-    w = 2u2 - h, which the homogenised recurrence builds without ever
-    dividing by h.  This form feeds the differential-operator eigenchecks
-    without differentiating through the removable singularity.
+    The outer factor P_{n-j}^{N-2+2j,0}(2u1-1) is the Jacobi sum at
+    p = u1-1, q = u1; the inner factor (1-u1)^j P_j^{N-3,0}(2u2/(1-u1) - 1)
+    is the sum at p = u1+u2-1, q = u2, the pair for x = 2u2/(1-u1) - 1
+    scaled by 1-u1, so nothing divides by 1-u1.  This form feeds the
+    differential-operator eigenchecks without differentiating through the
+    removable singularity.
     """
     _require_integer("N", N, 3)
     n, j = idx
     _require_integer("j", j, 0)
     _require_integer("n", n, j)
-    one = SimplexPolynomial.constant(1.0, 2)
-    u1 = SimplexPolynomial.variable(0, 2)
-    h = one - u1
-    outer = _jacobi_homogeneous(n - j, N - 2.0 + 2 * j, 0.0, 2.0 * u1 - 1.0, one)
-    inner = _jacobi_homogeneous(j, N - 3.0, 0.0, 2.0 * SimplexPolynomial.variable(1, 2) - h, h)
-    return outer * inner
+    u1, u2 = SimplexPolynomial.variable(0, 2), SimplexPolynomial.variable(1, 2)
+    outer = _jacobi_sum(n - j, N - 2.0 + 2 * j, 0.0, u1 - 1.0, u1)
+    return outer * _jacobi_sum(j, N - 3.0, 0.0, u1 + u2 - 1.0, u2)

@@ -248,6 +248,20 @@ def test_densities_refuse_a_certificate_below_the_first_omitted_term():
         density_2d_values(0.05, (0.3, 0.2), [(0.2, 0.2)], 4, bogus)
     with pytest.raises(ValueError, match="below the proven bound"):
         density_1d_values(0.5, 0.3, 0.2, 3, Truncation(n_max=20, tol=1e-10, achieved_bound=math.nan))
+    # N = 3, t = 0.05, tol = 1e-12 cuts at 26 modes with a tail bound of 1.069 b_27,
+    # so a certificate that covers b_27 alone is refused
+    t, N = 0.05, 3
+    tr = auto_truncation(t, N, 1e-12)
+    b27 = _term_bound_1d(27, t, N)
+    assert tr.n_max == 26
+    assert tr.achieved_bound == pytest.approx(1.069 * b27, rel=1e-3)
+    short = Truncation(26, 1e-12, 1.0001 * b27)
+    for values in (density_1d_values, cdf_1d_values):
+        with pytest.raises(ValueError, match="below the proven bound on mode 27"):
+            values(t, 0.3, 0.2, N, short)
+    short_2d = Truncation(26, 1e-12, 1.0001 * _term_bound_2d(27, t, 4))
+    with pytest.raises(ValueError, match="below the proven bound on mode 27"):
+        density_2d_values(t, (0.3, 0.2), [(0.2, 0.2)], 4, short_2d)
 
 
 # per dimension: the certifier, its term bound, the functions that take its
@@ -272,6 +286,46 @@ def test_issued_certificates_are_accepted_and_halved_ones_refused(dim, data):
         assert np.all(np.isfinite(values(t, c, u, N, tr)))
         with pytest.raises(ValueError, match="below the proven bound"):
             values(t, c, u, N, halved)
+
+
+def _explicit_tail(start, t, N, term_bound):
+    """fsum of the term bounds from mode start on, until they underflow to zero."""
+    terms, n = [], start
+    while (b := term_bound(n, t, N)) > 0.0:
+        terms.append(b)
+        n += 1
+    return math.fsum(terms)
+
+
+@settings(max_examples=50)
+@given(st.integers(2, 10), st.floats(math.log(1e-4), math.log(50.0)))
+def test_term_bound_ratios_do_not_increase(N, log_t):
+    # the premise of _tail_bound: each of the three factors of b_{n+1}/b_n falls with n.
+    # Rounding breaks it once the factor e^{-n(n+N-1)t} is subnormal, even where the
+    # bound is not (7e-296 at N = 8, t = 0.018, n = 197), so those modes are left out
+    t = math.exp(log_t)
+    bounds, n = [], 0
+    while math.exp(-eigenvalue(n, N) * t) > 1e-300:
+        bounds.append(_term_bound_1d(n, t, N))
+        n += 1
+    ratios = [b1 / b0 for b0, b1 in zip(bounds, bounds[1:])]
+    for r0, r1 in zip(ratios, ratios[1:]):
+        assert r1 <= r0 * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=50)
+@given(st.data())
+def test_issued_tail_bounds_are_sound_and_nearly_minimal(dim, data):
+    certify, term_bound, _, _, _, N_min, _ = _CERTIFIERS[dim]
+    N = data.draw(st.integers(N_min, 10))
+    t = math.exp(data.draw(st.floats(math.log(1e-4), math.log(50.0))))
+    tol = math.exp(data.draw(st.floats(math.log(1e-14), math.log(1e-6))))
+    tr = certify(t, N, tol)
+    assert tr.achieved_bound <= tol
+    # at large t the tail is one term and the bound may round 1 ulp below it
+    assert tr.achieved_bound >= _explicit_tail(tr.n_max + 1, t, N, term_bound) * (1.0 - 1e-14)
+    assert _explicit_tail(tr.n_max - 1, t, N, term_bound) > tol
 
 
 def test_eigen_transform_trivial_and_first_modes():

@@ -6,7 +6,7 @@ import pytest
 from jacobi_heat.heat_kernel import auto_truncation
 from jacobi_heat.operators import generalized_jacobi_op, operator_matrix, script_l_k
 from jacobi_heat.polynomials import SimplexPolynomial, dirichlet_weight_poly
-from jacobi_heat.simplex_jacobi import _jacobi_homogeneous
+from jacobi_heat.simplex_jacobi import _jacobi_sum
 from jacobi_heat.special import eigenvalue
 from jacobi_heat.validate import face_derivative_identity, heat_residual_1d
 
@@ -27,7 +27,7 @@ def test_jacobi_op_trivial_inputs():
 def test_jacobi_op_eigenfunctions(N):
     for n in range(1, 11):
         u = SimplexPolynomial.variable(0, 1)
-        g = _jacobi_homogeneous(n, N - 2.0, 0.0, 2.0 * u - 1.0, u**0)
+        g = _jacobi_sum(n, N - 2.0, 0.0, u - 1.0, u)
         image = generalized_jacobi_op(g, N)
         expected = -float(eigenvalue(n, N)) * g
         assert image.max_abs_diff(expected) <= 1e-11 * g.max_abs_coeff()
@@ -63,6 +63,16 @@ def test_generalized_op_trivial_inputs():
         assert out.max_abs_diff(want) == 0.0
     with pytest.raises(ValueError):
         generalized_jacobi_op(SimplexPolynomial.constant(1.0, 4), 4)
+    # a non-integer N was used as a coefficient, and a bad degree gave TypeError or no rows
+    u1 = SimplexPolynomial.variable(0, 1)
+    for op in (generalized_jacobi_op, script_l_k):
+        with pytest.raises(ValueError, match="N must be >= 2 and an integer"):
+            op(u1, 4.5)
+    for max_degree in (2.5, -1):
+        with pytest.raises(ValueError, match="max_degree must be >= 0 and an integer"):
+            operator_matrix(2, 4, max_degree)
+    with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+        operator_matrix(2.5, 4, 2)
 
 
 def test_generalized_op_k1_matches_1d_operator():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jacobi_heat.polynomials import SimplexPolynomial, dirichlet_weight_poly
-from jacobi_heat.simplex_jacobi import _jacobi_homogeneous
+from jacobi_heat.simplex_jacobi import _jacobi_sum
 from jacobi_heat.special import jacobi_p
 
 
@@ -48,19 +48,24 @@ def test_simplex_polynomial_validation():
         SimplexPolynomial.variable(0, 2) ** -1
     with pytest.raises(ValueError):
         SimplexPolynomial.variable(0, 2) + SimplexPolynomial.variable(0, 3)
+    # int(k) truncated 2.7 to 2 variables
+    for k in (2.7, 2.0, 0):
+        with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+            SimplexPolynomial({}, k)
 
 
 @pytest.mark.parametrize("n,a,b", [(0, 1.0, 0.0), (3, 2.0, 0.0), (6, 0.0, 3.0), (9, 4.0, 0.0)])
 def test_jacobi_coefficient_expansions(n, a, b):
-    # the recurrence behind simplex_q_polynomial, run on SimplexPolynomials
+    # the explicit sum behind simplex_q_polynomial, run on SimplexPolynomials
     xs = np.linspace(-1.0, 1.0, 7)
     direct = jacobi_p(n, (a, b), xs)
     x = SimplexPolynomial.variable(0, 1)
-    px = _jacobi_homogeneous(n, a, b, x, x**0)
-    pu = _jacobi_homogeneous(n, a, b, 2.0 * x - 1.0, x**0)
+    px = _jacobi_sum(n, a, b, 0.5 * (x - 1.0), 0.5 * (x + 1.0))
+    pu = _jacobi_sum(n, a, b, x - 1.0, x)
     # h^n P_n(w/h) at h = 0.3, w = 0.3 x
     w, h = SimplexPolynomial.variable(0, 2), SimplexPolynomial.variable(1, 2)
-    ph = _jacobi_homogeneous(n, a, b, w, h)(np.column_stack([0.3 * xs, np.full(7, 0.3)]))
+    ph = _jacobi_sum(n, a, b, 0.5 * (w - h), 0.5 * (w + h))
+    ph = ph(np.column_stack([0.3 * xs, np.full(7, 0.3)]))
     # monomial-basis evaluation cancels; accuracy is relative to the coefficient scale
     atol = 1e-13 * max(px.max_abs_coeff(), pu.max_abs_coeff())
     np.testing.assert_allclose(px(xs[:, None]), direct, atol=atol)
@@ -77,3 +82,9 @@ def test_dirichlet_weight_poly():
     assert s3((0.1, 0.2, 0.3)) == 1.0
     with pytest.raises(ValueError):
         dirichlet_weight_poly(3, 3)
+    # k = 1.5 raised TypeError, k = 0 gave a polynomial in no variables, and a
+    # non-integer N was refused only by the power, naming its exponent
+    for k, N, message in [(1.5, 5, "k must be >= 1"), (0, 3, "k must be >= 1"),
+                          (2, 4.5, "N must be >= 3"), (2, 4.0, "N must be >= 3")]:
+        with pytest.raises(ValueError, match=message):
+            dirichlet_weight_poly(k, N)
