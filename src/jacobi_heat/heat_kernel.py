@@ -66,7 +66,8 @@ def _term_bound_1d(n, t, N):
     b = 1.0
     for i in range(1, N - 1):
         b *= (n + i) / i
-    return (2 * n + N - 1) * b * b * math.exp(-eigenvalue(n, N) * t)
+    # in log space: e^{-n(n+N-1)t} alone turns subnormal while the bound is still normal
+    return math.exp(math.log((2 * n + N - 1) * b * b) - eigenvalue(n, N) * t)
 
 
 def _term_bound_2d(n, t, N):

@@ -60,7 +60,7 @@ class SimplexPolynomial:
         if isinstance(other, SimplexPolynomial):
             out = {}
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+                for e2, c2 in self._coerce(other).terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
                     out[e] = out.get(e, 0.0) + c1 * c2
             return SimplexPolynomial(out, self.k)
@@ -75,16 +75,6 @@ class SimplexPolynomial:
         for _ in range(exponent):
             out = out * self
         return out
-
-    def partial(self, i):
-        """Derivative with respect to variable i."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), 0.0) + c * e[i]
-        return SimplexPolynomial(out, self.k)
 
     def substitute(self, i, poly):
         """Replace variable i by another SimplexPolynomial."""

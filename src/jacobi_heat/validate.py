@@ -557,28 +557,21 @@ def heat_residual_1d(t, c, N, n_max, u_grid):
 
 
 def face_derivative_identity(f):
-    """Whether d_i f - d_j f vanishes on the face {u_1 + ... + u_k = 1}.
+    """Whether every d_i f - d_j f vanishes on the face {u_1 + ... + u_k = 1}.
 
-    True iff every pairwise difference of first derivatives is divisible by
-    (1 - sum u); checked by substituting u_1 = 1 - u_2 - ... - u_k and
-    requiring the remainder's coefficients to vanish to 1e-12 of f's largest.
-    Holds for f = g * s_k whenever the weight exponent N-k-1 is at least 1.
+    The differences e_i - e_j span the directions of the face, so they all
+    vanish there exactly when f is constant on it.  Checked by substituting
+    u_1 = 1 - u_2 - ... - u_k once and requiring every non-constant
+    coefficient to vanish to 1e-12 of f's largest; for k = 1 the face is the
+    point u = 1 and the identity holds trivially.  Holds for f = g * s_k
+    whenever the weight exponent N-k-1 is at least 1.
     """
-    k = f.k
-    if k == 1:
-        return True
-    ones = SimplexPolynomial.constant(1.0, k)
-    sub = ones
-    for i in range(1, k):
-        sub = sub - SimplexPolynomial.variable(i, k)
+    on_face = SimplexPolynomial.constant(1.0, f.k)
+    for i in range(1, f.k):
+        on_face = on_face - SimplexPolynomial.variable(i, f.k)
     scale = max(1.0, f.max_abs_coeff())
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = f.partial(i) - f.partial(j)
-            rem = diff.substitute(0, sub)
-            if rem.max_abs_coeff() > 1e-12 * scale:
-                return False
-    return True
+    rest = f.substitute(0, on_face)
+    return all(abs(c) <= 1e-12 * scale for e, c in rest.terms.items() if any(e))
 
 
 def generator_moment_check(ens, test_poly):

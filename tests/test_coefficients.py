@@ -27,17 +27,6 @@ def test_solution_starts_at_one():
     assert solve_coefficients(0.37, 5, 10)[0] == 1.0
 
 
-def test_closed_forms_at_endpoints():
-    for N in (2, 3, 5, 8):
-        a0 = solve_coefficients(0.0, N, 20)
-        a1 = solve_coefficients(1.0, N, 20)
-        for n in range(21):
-            want0 = (-1.0) ** n / pochhammer(N + n - 1.0, n)
-            want1 = pochhammer(N - 1.0, n) / (math.factorial(n) * pochhammer(N + n - 1.0, n))
-            assert rel(a0[n], want0) <= 1e-12
-            assert rel(a1[n], want1) <= 1e-12
-
-
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_solve_matches_closed_form(N, c):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jacobi_heat.heat_kernel import auto_truncation
 from jacobi_heat.operators import generalized_jacobi_op, operator_matrix, script_l_k
@@ -75,19 +78,6 @@ def test_generalized_op_trivial_inputs():
         operator_matrix(2.5, 4, 2)
 
 
-def test_generalized_op_k1_matches_1d_operator():
-    # at k = 1 the operator is u(1-u) g'' + (1-Nu) g', applied here with numpy's polynomials
-    P = np.polynomial.polynomial
-    rng = np.random.default_rng(1)
-    coeffs = rng.standard_normal(6)
-    out = generalized_jacobi_op(univariate(coeffs), 4)
-    d1, d2 = P.polyder(coeffs), P.polyder(coeffs, 2)
-    want = P.polyadd(P.polymul([0.0, 1.0, -1.0], d2), P.polymul([1.0, -4.0], d1))
-    assert set(out.terms) <= {(i,) for i in range(len(want))}
-    for i, c in enumerate(want):
-        assert out.terms.get((i,), 0.0) == pytest.approx(c, rel=1e-13)
-
-
 def test_script_l_k_reduces_to_generator_at_k_equals_N_minus_1():
     for k, N in [(2, 3), (3, 4)]:
         rng = np.random.default_rng(k)
@@ -126,6 +116,25 @@ def test_operators_are_linear():
         lhs = op(a * f + b * g, N)
         rhs = a * op(f, N) + b * op(g, N)
         assert lhs.max_abs_diff(rhs) <= 1e-13
+
+
+@given(st.data())
+def test_operators_match_symbolic_derivatives(data):
+    # the operators as their docstrings define them, differentiated by sympy: with
+    # integer coefficients the closed form must reproduce every coefficient exactly
+    k = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(k + 1, k + 5))
+    exponents = st.lists(st.integers(0, k - 1), max_size=4).map(lambda v: tuple(map(v.count, range(k))))
+    terms = data.draw(st.dictionaries(exponents, st.integers(-9, 9), max_size=5))
+    u = sympy.symbols(f"u1:{k + 1}")
+    f = sympy.Poly.from_dict(terms, *u).as_expr()
+    for op, const, slope in [(generalized_jacobi_op, 0, -N), (script_l_k, k * (N - k - 1), N - 2 * k - 2)]:
+        want = const * f
+        for i in range(k):
+            want += (1 + slope * u[i]) * f.diff(u[i]) + (u[i] - u[i] ** 2) * f.diff(u[i], 2)
+            want -= sum(u[i] * u[j] * f.diff(u[i], u[j]) for j in range(k) if j != i)
+        want = sympy.Poly(want, *u).as_dict()
+        assert op(SimplexPolynomial(terms, k), N).terms == {e: float(c) for e, c in want.items() if c}
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -173,13 +182,16 @@ def test_face_identity_for_weight_and_weighted_polynomials():
     for k, N in [(2, 4), (3, 6)]:
         sk = dirichlet_weight_poly(k, N)
         assert face_derivative_identity(sk)
-    f = SimplexPolynomial.variable(0, 2) * dirichlet_weight_poly(2, 5)
-    assert face_derivative_identity(f)
+    u1, u2 = SimplexPolynomial.variable(0, 2), SimplexPolynomial.variable(1, 2)
+    assert face_derivative_identity(u1 * dirichlet_weight_poly(2, 5))
+    # any f constant on the face passes, a multiple of the weight or not
+    assert face_derivative_identity((1.0 - u1 - u2) * u1 + 2.0)
 
 
 def test_face_identity_fails_without_weight():
     # k = N-1: the weight is constant and boundary terms persist
     assert not face_derivative_identity(SimplexPolynomial.variable(0, 2))
+    assert not face_derivative_identity(SimplexPolynomial({(1, 0): 1.0, (0, 1): -1.0}, 2))
 
 
 def test_face_identity_k1_is_vacuous():
