@@ -41,15 +41,22 @@ def _output(path):
             fh.close()
 
 
+CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path, comments, header, rows):
     with _output(path) as fh:
         fh.write(f"# jacobi-heat {__version__}\n")
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        # "%.17g" % v writes the same bytes as format(v, ".17g") for every float
+        # "%.17g" % v writes the same bytes as format(v, ".17g") for every float; one
+        # format call per block of rows, so memory stays bounded on large grids
         line = ",".join(["%.17g"] * len(header)) + "\n"
-        fh.writelines(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
+        rows = np.asarray(rows, dtype=float)
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _parse_c(value, expect):

@@ -20,6 +20,7 @@ k = 1, which is _term_bound_1d, and by (N-1)(N-2) dim H_{n,n} e^{-n(n+N-1)t}
 for k = 2; the k = 2 bound is attained at the vertices (1, 0) and (0, 1).
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,12 @@ def _term_bound_2d(n, t, N):
     return (N - 2) * _term_bound_1d(n, t, N)
 
 
+def _ratio(m, t, N):
+    """The ratio r_m = b_{m+1}/b_m of successive term bounds (either dimension)."""
+    r = (2 * m + N + 1) / (2 * m + N - 1) * ((m + N - 1) / (m + 1)) ** 2
+    return r * math.exp(-(2 * m + N) * t)
+
+
 def _tail_bound(n_max, t, N, term_bound):
     """Proven bound on the sum of the term bounds b_n past n_max.
 
@@ -87,18 +94,51 @@ def _tail_bound(n_max, t, N, term_bound):
     b = term_bound(m, t, N)
     if not math.isfinite(b):
         raise ValueError(f"t = {t} too small: the tail bound overflows at mode {m}")
-    r = (2 * m + N + 1) / (2 * m + N - 1) * ((m + N - 1) / (m + 1)) ** 2
-    r *= math.exp(-(2 * m + N) * t)
+    r = _ratio(m, t, N)
     return b / (1.0 - r) if r < 1.0 else math.inf
 
 
+def _first(lo, hi, pred):
+    """Smallest n in [lo, hi] with pred(n), for a pred false then true there; hi + 1 if none."""
+    return lo + bisect.bisect_left(range(lo, hi + 1), True, key=pred)
+
+
 def _auto_truncation(t, N, tol, term_bound):
+    """The smallest n_max in [1, MAX_MODES] with _tail_bound(n_max) <= tol, found by bisection.
+
+    It returns what scanning n_max = 1, 2, ... would: the first n_max whose
+    _tail_bound either passes tol or overflows, refusing at an overflow.
+    Write b_m = term_bound(m) and r_m = _ratio(m).  r_m falls strictly (see
+    _tail_bound), so with p the first cutoff whose r_{p+1} < 1, b rises up
+    to mode p+1 and falls strictly after it, as b_{m+1} = r_m b_m.  Hence
+    - "r_{n+1} < 1" is monotone in n, and p is found by bisection;
+    - an overflowing b_m either lies in an interval around the peak, where
+      the true bound exceeds the largest float, or is past the mode from which
+      the computed factor (2m+N-1) C(m+N-2, N-2)^2, which rises with m,
+      overflows; so up to the peak "b_{n+1} overflows" is monotone, and if
+      b_{p+1} overflows the scan refuses at the first overflowing mode;
+    - otherwise from p on both b_{n+1} and 1/(1 - r_{n+1}) fall, so
+      "b_{n+1} overflows or b_{n+1}/(1 - r_{n+1}) <= tol" is monotone there,
+      and its first n is the scan's.
+    """
     _require_positive("tol", tol)
-    for n_max in range(1, MAX_MODES + 1):
-        bound = _tail_bound(n_max, t, N, term_bound)
-        if bound <= tol:
-            return Truncation(n_max=n_max, tol=tol, achieved_bound=bound)
-    raise ValueError(f"t = {t} too small: truncation would exceed {MAX_MODES} modes")
+    N = int(N)  # a numpy integer N would overflow in the far modes the bisection probes
+
+    def overflows(n):
+        return not math.isfinite(term_bound(n + 1, t, N))
+
+    # past MAX_MODES, b rises over the whole range: no cutoff passes, and only an overflow differs
+    peak = min(_first(1, MAX_MODES, lambda n: _ratio(n + 1, t, N) < 1.0), MAX_MODES)
+    if overflows(peak):
+        n_max = _first(1, peak, overflows)
+    else:
+        n_max = _first(
+            peak, MAX_MODES, lambda n: overflows(n) or _tail_bound(n, t, N, term_bound) <= tol
+        )
+        if n_max > MAX_MODES:
+            raise ValueError(f"t = {t} too small: truncation would exceed {MAX_MODES} modes")
+    # where b_{n_max+1} overflows, _tail_bound refuses and names the mode
+    return Truncation(n_max=n_max, tol=tol, achieved_bound=_tail_bound(n_max, t, N, term_bound))
 
 
 def auto_truncation(t, N, tol):
@@ -233,8 +273,11 @@ def kernel_series_2d(t, c, pts, N, n_max):
     # point, which would make a point's value depend on the other points
     g = inv[1:]
     total = np.zeros(len(g))
+    term = np.empty(len(g))
     for j in range(n_max + 1):
-        total += S[j, g] * inner[j, 1:]
+        np.take(S[j], g, out=term)
+        term *= inner[j, 1:]
+        total += term
     return total
 
 

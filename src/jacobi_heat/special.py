@@ -52,21 +52,59 @@ def pochhammer(a, m):
     return out
 
 
+# rows per block of jacobi_table's in-place recurrence: 32 rows of 2,000 points fit in L2
+_JACOBI_BLOCK = 32
+
+
 def jacobi_table(n_max, alpha, beta, x):
     """All Jacobi polynomials P_n^{alpha,beta}(x) for n = 0..n_max.
 
     Evaluated by the forward three-term recurrence, which is stable on
     [-1, 1].  x may be a scalar or an ndarray; the result has shape
-    (n_max+1,) + shape(x).
+    (n_max+1,) + shape(x).  Every value has the bits of _jacobi_step's
+    expression.  A scalar x runs _jacobi_step on Python floats, since ufuncs
+    on 0-d arrays cost more than the arithmetic.  An array x allocates no
+    temporary of its shape but one scratch row, and works in place: the
+    scalar factors of every degree are computed at once in numpy float64,
+    whose + - * / round as Python floats do.  For each block of _JACOBI_BLOCK
+    rows, one pass writes c1_n = (s-1)(s(s-2) x + alpha^2 - beta^2) into row
+    n, skipping "- beta^2" when beta = 0 (subtracting 0.0 is exact), and the
+    recurrence then turns row n into (c1_n p_{n-1} - c2_n p_{n-2}) / c0_n, in
+    that order of operations, while the block is still in cache.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        xf = float(x)
+        vals = [1.0, (alpha + 1.0) + (alpha + beta + 2.0) * (xf - 1.0) / 2.0][:n_max + 1]
+        for n in range(2, n_max + 1):
+            vals.append(_jacobi_step(n, alpha, beta, xf, vals[-1], vals[-2]))
+        return np.array(vals)
     out = np.empty((n_max + 1,) + x.shape)
     out[0] = 1.0
     if n_max == 0:
         return out
     out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for n in range(2, n_max + 1):
-        out[n] = _jacobi_step(n, alpha, beta, x, out[n - 1], out[n - 2])
+    # the factors are indexed by degree; those of degrees 0 and 1 go unused
+    n = np.arange(0.0, n_max + 1.0).reshape((-1,) + (1,) * x.ndim)
+    s = 2.0 * n + alpha + beta
+    a1, s1 = s * (s - 2.0), s - 1.0
+    c0 = (2.0 * n * (n + alpha + beta) * (s - 2.0)).ravel().tolist()
+    c2 = (2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s).ravel().tolist()
+    scratch = np.empty(x.shape)
+    for lo in range(2, n_max + 1, _JACOBI_BLOCK):
+        hi = min(lo + _JACOBI_BLOCK, n_max + 1)
+        c1 = out[lo:hi]
+        np.multiply(a1[lo:hi], x, out=c1)
+        c1 += alpha * alpha
+        if beta != 0.0:
+            c1 -= beta * beta
+        c1 *= s1[lo:hi]
+        for k in range(lo, hi):
+            row = out[k]
+            row *= out[k - 1]
+            np.multiply(out[k - 2], c2[k], out=scratch)
+            row -= scratch
+            row /= c0[k]
     return out
 
 

@@ -5,12 +5,18 @@ integrals from Beta/Dirichlet closed forms, none of them through the
 package's recurrence or quadrature.  The simplex polynomials Q_{n-j,j} are
 evaluated pointwise from their factored definition with the package's
 jacobi_p, independently of the expanded polynomials and of the 2-D series.
+The last three routes are the plain forms of code the package runs faster
+(the cutoff scan, the stepwise recurrence, per-row CSV lines): the package
+must reproduce them bit for bit.
 """
 
 import math
 from fractions import Fraction
 
-from jacobi_heat.special import jacobi_p
+import numpy as np
+
+from jacobi_heat.heat_kernel import MAX_MODES, Truncation, _tail_bound
+from jacobi_heat.special import _jacobi_step, jacobi_p
 
 
 def jacobi_2f1(n, alpha, beta, x):
@@ -86,3 +92,31 @@ def harmonic_dimension(n, N):
     if d.denominator != 1:
         raise ArithmeticError(f"eigenspace dimension is not integral: {d}")
     return float(d)
+
+
+def auto_truncation_scan(t, N, tol, term_bound):
+    """The first n_max = 1, 2, ... whose tail bound passes tol, refusing where it overflows."""
+    for n_max in range(1, MAX_MODES + 1):
+        bound = _tail_bound(n_max, t, N, term_bound)
+        if bound <= tol:
+            return Truncation(n_max=n_max, tol=tol, achieved_bound=bound)
+    raise ValueError(f"t = {t} too small: truncation would exceed {MAX_MODES} modes")
+
+
+def jacobi_table_stepwise(n_max, alpha, beta, x):
+    """jacobi_table with a fresh array per degree, as _jacobi_step writes it."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + x.shape)
+    out[0] = 1.0
+    if n_max == 0:
+        return out
+    out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
+    for n in range(2, n_max + 1):
+        out[n] = _jacobi_step(n, alpha, beta, x, out[n - 1], out[n - 2])
+    return out
+
+
+def csv_data_lines(rows):
+    """The CSV data lines of rows, formatted one row at a time with format(v, ".17g")."""
+    lines = (",".join(format(v, ".17g") for v in row) + "\n" for row in np.asarray(rows).tolist())
+    return "".join(lines)

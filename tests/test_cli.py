@@ -13,6 +13,8 @@ from jacobi_heat.cli import main
 from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
 from jacobi_heat.sde import SdeConfig, simulate
 
+from oracles import csv_data_lines
+
 
 # the quick-tier registry: every check name and tolerance, in report order
 QUICK_CHECKS = [
@@ -242,3 +244,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_csv_blocks_write_the_bytes_of_per_row_lines(tmp_path):
+    # across the block boundary, with signed zeros, subnormals and the extremes of a float
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348622157e308, 1 / 3]
+    rng = np.random.default_rng(1)
+    for n_rows in (0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, 2 * cli.CSV_BLOCK_ROWS + 1):
+        rows = rng.choice(edges, size=(n_rows, 3)) * rng.choice([1.0, 0.5, 0.7], size=(n_rows, 3))
+        rows[:, 2] = rng.lognormal(0.0, 50.0, size=n_rows)
+        out = tmp_path / f"{n_rows}.csv"
+        cli._write_csv(str(out), ["c"], ["a", "b", "c"], rows)
+        head = f"# jacobi-heat {__version__}\n# c\na,b,c\n"
+        assert out.read_text() == head + csv_data_lines(rows)

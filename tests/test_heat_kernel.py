@@ -23,7 +23,7 @@ from jacobi_heat.quadrature import gauss_jacobi_rule
 from jacobi_heat.special import eigenvalue, jacobi_p, jacobi_table
 from jacobi_heat.validate import chapman_kolmogorov_check, eigen_transform_check
 
-from oracles import harmonic_dimension, simplex_q, simplex_q_norm_sq
+from oracles import auto_truncation_scan, harmonic_dimension, simplex_q, simplex_q_norm_sq
 
 
 def test_truncation_validation():
@@ -341,6 +341,35 @@ def test_issued_tail_bounds_are_sound_and_nearly_minimal(dim, data):
     # at large t the tail is one term and the bound may round 1 ulp below it
     assert tr.achieved_bound >= _explicit_tail(tr.n_max + 1, t, N, term_bound) * (1.0 - 1e-14)
     assert _explicit_tail(tr.n_max - 1, t, N, term_bound) > tol
+
+
+def _outcome(certify, *args):
+    try:
+        tr = certify(*args)
+    except ValueError as exc:
+        return str(exc)
+    return tr.n_max, tr.tol, tr.achieved_bound.hex()
+
+
+# N <= 120, t in [1e-12, 3], tol in [1e-300, 1e-6]: cutoffs on both sides of the
+# peak of b_n, overflow refusals (N >= 42, where (2n+N-1) C(n+N-2, N-2)^2 overflows
+# below 1e5 modes) and refusals past MAX_MODES
+_SCAN_GRID = [
+    (N, t, tol)
+    for N in (3, 5, 10, 42, 60, 120)
+    for t in (1e-12, 1e-6, 1e-4, 3e-3, 0.1, 3.0)
+    for tol in (1e-300, 1e-12, 1e-6)
+] + [(2, 1e-6, 1e-10), (2, 1e-3, 1e-300), (43, 1e-7, 1e-10), (7, 0.0183, 1e-295)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cutoff_search_matches_the_linear_scan(dim):
+    certify, term_bound, *_ = _CERTIFIERS[dim]
+    for N, t, tol in _SCAN_GRID:
+        if N < dim + 1:
+            continue
+        want = _outcome(auto_truncation_scan, t, N, tol, term_bound)
+        assert _outcome(certify, t, N, tol) == want, (N, t, tol)
 
 
 def test_eigen_transform_trivial_and_first_modes():

@@ -137,20 +137,6 @@ def test_operators_match_symbolic_derivatives(data):
         assert op(SimplexPolynomial(terms, k), N).terms == {e: float(c) for e, c in want.items() if c}
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("N", [4, 6])
-def test_graded_spectrum(k, N):
-    mat, exponents = operator_matrix(k, N, 6)
-    eigs = np.sort(np.linalg.eigvals(mat).real)
-    expected = np.sort([-float(eigenvalue(sum(e), N)) for e in exponents])
-    assert np.max(np.abs(eigs - expected)) <= 1e-9
-    # multiplicity of -n(n+N-1) equals the number of degree-n monomials
-    for n in range(7):
-        want = sum(1 for e in exponents if sum(e) == n)
-        got = int(np.sum(np.isclose(eigs, -float(eigenvalue(n, N)), atol=1e-9)))
-        assert got == want
-
-
 def test_heat_residual_single_mode():
     # with only the n <= 1 modes the residual is pure stencil error, tiny at dt = 1e-4
     res = heat_residual_1d(0.3, 0.5, 3, 1, np.linspace(0.0, 1.0, 21))

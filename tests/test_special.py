@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from jacobi_heat.quadrature import gauss_jacobi_rule
-from jacobi_heat.special import eigenvalue, jacobi_p, pochhammer
+from jacobi_heat.special import eigenvalue, jacobi_p, jacobi_table, pochhammer
 
-from oracles import harmonic_dimension, jacobi_2f1
+from oracles import harmonic_dimension, jacobi_2f1, jacobi_table_stepwise
 
 
 def test_pochhammer_values():
@@ -143,3 +143,18 @@ def test_harmonic_dimension_integrality():
             d = harmonic_dimension(n, N)
             assert d == round(d)
             assert d >= 1.0
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 700])
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (3.0, 0.0), (2, 0), (-0.5, 0.7), (7.0, 2.0)])
+def test_jacobi_table_has_the_bits_of_the_stepwise_recurrence(n_max, alpha, beta):
+    # the scalar path, and the in-place path on 1-D and 2-D x; the edge values
+    # include signed zeros, a subnormal, both endpoints and NaN
+    rng = np.random.default_rng(n_max)
+    edges = np.array([-0.0, 0.0, 5e-324, -1.0, 1.0, math.nan])
+    for x in (0.3, -1.0, -0.0, np.float64(0.7), np.concatenate([edges, rng.uniform(-1, 1, 40)]),
+              rng.uniform(-1, 1, (3, 5))):
+        got = jacobi_table(n_max, alpha, beta, x)
+        want = jacobi_table_stepwise(n_max, alpha, beta, x)
+        assert got.shape == want.shape == (n_max + 1,) + np.shape(x)
+        assert got.tobytes() == want.tobytes()
