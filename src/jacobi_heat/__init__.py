@@ -4,8 +4,8 @@ The package evaluates the transition densities of the squared-modulus
 coordinates of spherical Brownian motion: spectral Jacobi series on [0, 1]
 and on the 2-simplex, the triangular coefficient system and Laplace
 transform of the one-dimensional density, the generalized Jacobi operator
-with its heat equation on the k-simplex, and an Euler-Maruyama simulator of
-the associated Wright-Fisher-type diffusion serving as an independent Monte
+with its heat equation on the k-simplex, and a weak Euler simulator of the
+associated Wright-Fisher-type diffusion serving as an independent Monte
 Carlo oracle.
 """
 
