@@ -7,8 +7,8 @@ its tolerance.  Pytest does not collect this file.  From the repository root:
 
     PYTHONPATH=src python tests/false_alarm.py --tier quick --seeds 0:400 --jobs 2
 
-With two jobs on a 2-core machine a quick-tier seed takes about a second and
-a full-tier seed about 140 s.
+With two jobs on a 2-core machine a quick-tier seed takes about half a second
+and a full-tier seed about 90 s.
 """
 
 import argparse

@@ -96,6 +96,23 @@ def test_a_nan_residual_fails_its_check(monkeypatch, group, name, patched, stub)
     assert math.isnan(check["measured"]) and not check["pass"]
 
 
+def test_monte_carlo_simulates_one_ensemble_per_n_k(monkeypatch):
+    # the KS gate reads the clock ensemble's terminal points instead of its own ensemble
+    runs = []
+    simulate = validate.simulate
+
+    def counted(cfg, start, *args, **kwargs):
+        runs.append((cfg, start))
+        return simulate(cfg, start, *args, **kwargs)
+
+    monkeypatch.setattr(validate, "simulate", counted)
+    checks = {c["check_name"]: c for c in validate.check_monte_carlo("quick", 2024)}
+    assert sorted((cfg.N, cfg.k) for cfg, _ in runs) == [(3, 1), (4, 2), (6, 3)]
+    ((clock, start),) = [(cfg, start) for cfg, start in runs if cfg.k == 1]
+    ks = checks["mc.ks_1d"]["params"]
+    assert (ks["N"], ks["k"], ks["c"], ks["t"]) == (clock.N, clock.k, start[0], clock.t_final)
+
+
 @pytest.fixture(scope="module")
 def full_tier_reports(tmp_path_factory):
     """Two concurrent full-tier validation runs with the same seed."""

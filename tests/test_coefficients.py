@@ -206,10 +206,3 @@ def test_inversion_identity_kills_positive_modes_at_lambda_zero():
         lhs, rhs = inversion_term_identity(n, 0.4, 4, 0.0)
         assert lhs == 0.0
         assert abs(rhs) <= 1e-12
-
-
-@pytest.mark.parametrize("n", range(11))
-def test_inversion_identity_reference_grid(n):
-    for N, c, lam in [(4, 0.7, 1.5), (3, 0.2, -2.0), (5, 0.5, 5.0)]:
-        lhs, rhs = inversion_term_identity(n, c, N, lam)
-        assert abs(lhs - rhs) <= 1e-10

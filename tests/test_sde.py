@@ -209,30 +209,6 @@ def test_simplex_containment():
     assert np.all(pts.sum(axis=1) <= 1.0 + 1e-12)
 
 
-def test_mean_relaxes_at_rate_N():
-    N, c = 3, 0.9
-    cfg = SdeConfig(N=N, k=1, t_final=0.8, dt=1e-3, paths=30000, seed=21)
-    ens = simulate(cfg, np.array([c]), snapshot_times=(0.2, 0.4, 0.8))
-    for t in (0.2, 0.4, 0.8):
-        mean = float(np.mean(ens.snapshots[t][:, 0]))
-        want = 1.0 / N + (c - 1.0 / N) * math.exp(-N * t)
-        se = float(np.std(ens.snapshots[t][:, 0], ddof=1)) / math.sqrt(cfg.paths)
-        assert abs(mean - want) <= 3.0 * se + 5.0 * cfg.dt
-
-
-def test_stationary_dirichlet_moments():
-    N, k = 6, 3
-    cfg = SdeConfig(N=N, k=k, t_final=0.6, dt=1e-3, paths=30000, seed=31)
-    ens = simulate(cfg, np.full(k, 1.0 / N))
-    pts = ens.terminal_points
-    for i in range(k):
-        se1 = float(np.std(pts[:, i], ddof=1)) / math.sqrt(cfg.paths)
-        assert abs(float(np.mean(pts[:, i])) - 1.0 / N) <= 3.0 * se1 + 5.0 * cfg.dt
-        se2 = float(np.std(pts[:, i] ** 2, ddof=1)) / math.sqrt(cfg.paths)
-        want2 = 2.0 / (N * (N + 1))
-        assert abs(float(np.mean(pts[:, i] ** 2)) - want2) <= 3.0 * se2 + 5.0 * cfg.dt
-
-
 # at t = 50 only the constant mode survives: the stationary Beta(1, N-1) law
 T_STATIONARY = 50.0
 
