@@ -81,13 +81,16 @@ def laplace_series(c, lam, t, N, n_max):
     canonical clock in which the degree-n mode decays at rate n(n+N-1); the
     alternative normalization that divides rates by N corresponds to
     rescaling t by N before calling this.  Matches laplace_quadrature.
-    Refuses c outside [0, 1], N < 2, t not finite and positive, and n_max < 0.
+    Refuses c outside [0, 1], N < 2, t not finite and positive, lam not
+    finite (1F1 at lam = inf does not return), and n_max < 0.
     """
     from scipy.special import hyp1f1
 
     _require_time_and_dimension(t, N, 2)
     _require_unit_interval("c", c)
     _require_integer("n_max", n_max, 0)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
     pc = jacobi_table(n_max, N - 2.0, 0.0, np.asarray(2.0 * c - 1.0))
     terms = []
     ratio = 1.0  # lam^n / (N+n-1)_n, carried as one factor so neither part overflows

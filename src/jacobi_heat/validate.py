@@ -69,11 +69,11 @@ def _rel(a, b):
 
 
 def check_coefficients():
+    # each (N, c) system is solved once; the endpoint check reads the c = 0 and 1 solutions
+    solved = {(N, c): solve_coefficients(c, N, 25) for N in (2, 3, 5, 8) for c in C_GRID_1D}
     res = []
-    for N in (2, 3, 5, 8):
-        for c in C_GRID_1D:
-            a = solve_coefficients(c, N, 25)
-            res += [_rel(a[n], closed_form_coefficient(c, N, n)) for n in range(26)]
+    for (N, c), a in solved.items():
+        res += [_rel(a[n], closed_form_coefficient(c, N, n)) for n in range(26)]
     yield _check(
         "coefficients.solve_vs_closed_form",
         {"N": [2, 3, 5, 8], "c": list(C_GRID_1D), "n_max": 25},
@@ -82,17 +82,11 @@ def check_coefficients():
     )
     res = []
     for N in (2, 3, 5, 8):
-        a0 = solve_coefficients(0.0, N, 25)
-        a1 = solve_coefficients(1.0, N, 25)
+        a0, a1 = solved[N, 0.0], solved[N, 1.0]
         for n in range(26):
-            res.append(_rel(a0[n], (-1.0) ** n / pochhammer(N + n - 1.0, n)))
-            res.append(
-                _rel(
-                    a1[n],
-                    pochhammer(N - 1.0, n)
-                    / (math.factorial(n) * pochhammer(N + n - 1.0, n)),
-                )
-            )
+            rising = pochhammer(N + n - 1.0, n)
+            res.append(_rel(a0[n], (-1.0) ** n / rising))
+            res.append(_rel(a1[n], pochhammer(N - 1.0, n) / (math.factorial(n) * rising)))
     yield _check(
         "coefficients.endpoint_closed_forms",
         {"N": [2, 3, 5, 8], "c": [0.0, 1.0], "n_max": 25},
@@ -425,11 +419,12 @@ def check_monte_carlo(tier, seed):
         2.0 * float(gammaincinv((bins * bins - 1) / 2, 0.99)),  # chi-square 99% quantile
     )
 
-    # stationary Dirichlet moments for three projected coordinates
+    # exact first and second moments of three projected coordinates started at 1/N
     N, k = 6, 3
     cfg = SdeConfig(N=N, k=k, t_final=0.5, dt=dt, paths=paths, seed=seed + 3)
     ens = simulate(cfg, np.full(k, 1.0 / N))
     pts = ens.terminal_points
+    m2_exact = uniform_start_second_moment(0.5, N)
     res = []
     for i in range(k):
         m1 = float(np.mean(pts[:, i]))
@@ -437,7 +432,7 @@ def check_monte_carlo(tier, seed):
         res.append(abs(m1 - 1.0 / N) / (3.0 * se1))
         m2 = float(np.mean(pts[:, i] ** 2))
         se2 = float(np.std(pts[:, i] ** 2, ddof=1)) / math.sqrt(paths)
-        res.append(abs(m2 - 2.0 / (N * (N + 1))) / (3.0 * se2))
+        res.append(abs(m2 - m2_exact) / (3.0 * se2))
     yield _check(
         "mc.dirichlet_moments_k3",
         {"N": N, "k": k, "t": 0.5, "paths": paths, "dt": dt},
@@ -571,6 +566,16 @@ def face_derivative_identity(f):
     scale = max(1.0, f.max_abs_coeff())
     rest = f.substitute(0, on_face)
     return all(abs(c) <= 1e-12 * scale for e, c in rest.terms.items() if any(e))
+
+
+def uniform_start_second_moment(t, N):
+    """Exact E[u_i(t)^2] of the diffusion started at u_i = 1/N.
+
+    E[u_i] stays 1/N and the generator sends u_i^2 to -2(N+1) u_i^2 + 4 u_i,
+    so E[u_i^2] relaxes from 1/N^2 to the stationary 2/(N(N+1)) at rate 2(N+1).
+    """
+    stationary = 2.0 / (N * (N + 1))
+    return stationary + (1.0 / N**2 - stationary) * math.exp(-2.0 * (N + 1) * t)
 
 
 def generator_moment_check(ens, test_poly):

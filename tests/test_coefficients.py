@@ -118,14 +118,6 @@ def test_laplace_short_time_limit():
     assert abs(val - math.exp(lam * c)) <= 1e-2
 
 
-@pytest.mark.parametrize("N", [3, 5])
-@pytest.mark.parametrize("lam", [-2.0, 2.0, 5.0])
-def test_laplace_matches_density_quadrature(N, lam):
-    t, c = 0.3, 0.4
-    (quad,) = laplace_quadrature(c, [lam], t, N)
-    assert abs(laplace_series(c, lam, t, N, 60) - quad) <= 1e-8
-
-
 def test_laplace_rejects_bad_time():
     for t in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError):
@@ -136,11 +128,12 @@ def test_laplace_rejects_bad_time():
 
 def test_laplace_refuses_bad_input():
     nan = float("nan")
-    # the series takes any lambda
-    for c, N, n_max in [(1.5, 3, 10), (-0.1, 3, 10), (nan, 3, 10), (0.3, 1, 10), (0.3, 3, -1),
-                        (0.3, 3, 2.5)]:
+    # the series takes any finite lambda: scipy's 1F1 does not return at lambda = inf
+    for c, lam, N, n_max in [(1.5, 1.0, 3, 10), (-0.1, 1.0, 3, 10), (nan, 1.0, 3, 10),
+                             (0.3, 1.0, 1, 10), (0.3, 1.0, 3, -1), (0.3, 1.0, 3, 2.5),
+                             (0.3, nan, 3, 10), (0.3, math.inf, 3, 10), (0.3, -math.inf, 3, 10)]:
         with pytest.raises(ValueError):
-            laplace_series(c, 1.0, 0.3, N, n_max)
+            laplace_series(c, lam, 0.3, N, n_max)
     # the quadrature refuses any lambda outside [-10, 10]
     for c, lam, N in [(1.5, 1.0, 3), (nan, 1.0, 3), (0.3, 1.0, 1), (0.3, 50.0, 3),
                       (0.3, -10.5, 3), (0.3, nan, 3)]:

@@ -380,14 +380,6 @@ def test_eigen_transform_trivial_and_first_modes():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_eigen_transform_spectral_decay(n):
-    t, c, N = 0.25, 0.6, 4
-    got = eigen_transform_check(n, t, c, N)
-    want = math.exp(-eigenvalue(n, N) * t) * jacobi_p(n, (N - 2.0, 0.0), 2.0 * c - 1.0)
-    assert got == pytest.approx(want, abs=1e-9)
-
-
 def test_eigen_transform_quadrature_follows_the_series_degree():
     # at t = 1e-4 the series has hundreds of modes; a fixed 64-node rule was off by 3e-2
     assert eigen_transform_check(0, 1e-4, 0.3, 3) == pytest.approx(1.0, abs=1e-10)
