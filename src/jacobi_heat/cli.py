@@ -20,14 +20,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import (
-    closed_form_coefficient,
-    laplace_quadrature,
-    laplace_series,
-    solve_coefficients,
-)
+from .coefficients import laplace_quadrature, laplace_series, solve_coefficients
 from .heat_kernel import auto_truncation, auto_truncation_2d, density_1d_values, density_2d_values
 from .sde import SdeConfig, simulate
+from .special import jacobi_table, pochhammer
 
 
 @contextlib.contextmanager
@@ -113,9 +109,11 @@ def _run_coeffs(args):
     N, n_max = args.N, args.n_max
     (c,) = _parse_c(args.c, 1)
     a = solve_coefficients(c, N, n_max)
+    # closed_form_coefficient row by row, with one recurrence for every degree
+    p = jacobi_table(n_max, N - 2.0, 0.0, 2.0 * c - 1.0)
     rows = []
     for n in range(n_max + 1):
-        cf = closed_form_coefficient(c, N, n)
+        cf = p[n] / pochhammer(N + n - 1.0, n)
         rows.append((n, a[n], cf, abs(a[n] - cf)))
     _write_csv(
         args.out,

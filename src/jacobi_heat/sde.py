@@ -8,14 +8,15 @@ and the only tool covering three or more projected coordinates.
 
 The scheme is the simplified weak Euler scheme (Kloeden & Platen, Numerical
 Solution of SDEs, 1992, sections 14.1-14.2): the Gaussian increments of
-Euler-Maruyama are replaced by independent three-point variables, -sqrt(3)
-and +sqrt(3) with probability 1/6 each and 0 with probability 2/3.  A weak
-scheme needs only the moments of its increments.  This law matches the
-standard normal's moments through order five (0, 1, 0, 3, 0), so the
-expansion of one step's E f in powers of sqrt(dt) agrees with the Gaussian
-step's through dt^(5/2), and the global weak error keeps the Gaussian Euler
-scheme's leading term C dt (Talay & Tubaro, Stoch. Anal. Appl. 8 (1990)
-483).  The two-point law +-1 would change C: its fourth moment is 1, not 3.
+Euler-Maruyama are replaced by independent three-point variables, -a and +a
+with probability 43/256 each and 0 with probability 170/256, a^2 = 128/43.
+A weak scheme needs only the moments of its increments.  This law is
+symmetric, so every odd moment is 0, and E z^2 = 86 a^2 / 256 = 1 exactly;
+these are the simplified scheme's conditions for weak order 1, so the global
+weak error stays C dt (Talay & Tubaro, Stoch. Anal. Appl. 8 (1990) 483).
+Only the constant C differs from the Gaussian step's, by a term proportional
+to E z^4 - 3 = 128/43 - 3 = -0.023; the two-point law +-1 would move it by
+E z^4 - 3 = -2.  The law costs one raw byte per increment (see _normals).
 Block b of BLOCK_PATHS paths draws its increments from its own SFC64 stream,
 keyed by SeedSequence(seed, spawn_key=(b,)) (see simulate).
 """
@@ -86,23 +87,29 @@ class PathEnsemble:
     snapshots: dict = field(default_factory=dict)  # time -> (paths, k) array
 
 
-# the three-point increment law: index 0 -> -sqrt(3), 1 -> +sqrt(3), 2..5 -> 0
-_THREE_POINT = np.array([-math.sqrt(3.0), math.sqrt(3.0), 0.0, 0.0, 0.0, 0.0])
+# the increment law by byte: 0..42 -> -a, 43..85 -> +a, 86..255 -> 0, a^2 = 128/43
+_BYTE_LAW = np.repeat([-math.sqrt(128.0 / 43.0), math.sqrt(128.0 / 43.0), 0.0], [43, 43, 170])
 
 
 def _normals(rng, out):
     """Fill out with three-point increments, the normals of the weak scheme.
 
-    One call rng.integers(0, 6, size=out.size, dtype=np.uint8) is mapped
-    through _THREE_POINT in C order.  The seeded validate reports were
-    verified on exactly this stream.  The name stays from the Gaussian
-    scheme: the increments stand in for standard normals, and the benchmark
-    tracer times this function as the normal draw.
+    One call rng.bit_generator.random_raw(ceil(out.size / 8)) draws raw
+    64-bit words; their bytes, least significant first, map through
+    _BYTE_LAW in C order: -a and +a with probability 43/256 each, 0 with
+    170/256, a^2 = 128/43, so E z = E z^3 = 0, E z^2 = 1 and E z^4 = 128/43.
+    A raw byte costs a fraction of a bounded-integer draw, which needs a
+    rejection loop.  The seeded validate reports were verified on exactly
+    this stream.  The name stays from the Gaussian scheme: the increments
+    stand in for standard normals, and the benchmark tracer times this
+    function as the normal draw.
     """
-    i = rng.integers(0, 6, size=out.size, dtype=np.uint8)
+    words = rng.bit_generator.random_raw(-(-out.size // 8))
+    # little-endian on every host, so the stream does not depend on the machine
+    raw = words.astype("<u8", copy=False).view(np.uint8)[: out.size]
     # out is C-contiguous, so reshape is a view; every index is in range, and
     # mode="clip" spares the buffered copy of out that mode="raise" makes
-    np.take(_THREE_POINT, i, out=out.reshape(-1), mode="clip")
+    np.take(_BYTE_LAW, raw, out=out.reshape(-1), mode="clip")
     return out
 
 
@@ -193,10 +200,11 @@ def simulate(cfg, start, snapshot_times=()):
     onto the simplex whenever the coordinates sum above 1.  The ensemble is
     stepped in blocks of BLOCK_PATHS paths, each through every step before
     the next starts, so a block's state stays in cache.  Each step's
-    increments are independent three-point variables (+-sqrt(3) with
-    probability 1/6 each, 0 with probability 2/3), whose moments match the
-    standard normal's through order five, so the weak error keeps the
-    Gaussian Euler scheme's leading O(dt) term (see the module docstring).
+    increments are independent three-point variables (+-a with probability
+    43/256 each, 0 with probability 170/256, a^2 = 128/43): odd moments 0,
+    E z^2 = 1 and E z^4 = 128/43, so the scheme keeps weak order 1 and only
+    the constant of its O(dt) error moves from the Gaussian scheme's (see
+    the module docstring).
     Block b draws them from an SFC64 generator seeded by SeedSequence(seed,
     spawn_key=(b,)), the b-th child of SeedSequence(seed).spawn, so a path
     depends only on the configuration, its block and its place in the

@@ -97,12 +97,12 @@ def check_coefficients():
 
 def check_neumann():
     res = []
-    for N in (2, 4):
+    for N in (2, 3, 4):
         for c in (0.0, 0.3, 1.0):
             res += [neumann_identity_residual(c, N, x, 30) for x in (0.5, 1.0, 2.0)]
     yield _check(
         "coefficients.neumann_identity",
-        {"N": [2, 4], "c": [0.0, 0.3, 1.0], "x": [0.5, 1.0, 2.0], "n_max": 30},
+        {"N": [2, 3, 4], "c": [0.0, 0.3, 1.0], "x": [0.5, 1.0, 2.0], "n_max": 30},
         res,
         1e-12,
     )

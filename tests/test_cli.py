@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import jacobi_heat
-from jacobi_heat import __version__, cli
+from jacobi_heat import __version__, cli, special
 from jacobi_heat.cli import main
+from jacobi_heat.coefficients import closed_form_coefficient
 from jacobi_heat.heat_kernel import auto_truncation, density_1d_values
 from jacobi_heat.sde import SdeConfig, simulate
+from jacobi_heat.special import jacobi_table
 
 from oracles import QUICK_CHECKS, csv_data_lines
 
@@ -64,12 +66,24 @@ def test_coeffs_csv_small_differences(tmp_path):
     assert np.all(rows[:, 3] <= 1e-9 * np.maximum(np.abs(rows[:, 2]), 1e-30))
 
 
-def test_coeffs_far_past_the_underflow_cap(tmp_path):
-    # the exact solve stops at n = 141 for N = 4, so 400 rows take seconds, not hours
+def test_coeffs_far_past_the_underflow_cap(tmp_path, monkeypatch):
+    # the exact solve stops at n = 141 for N = 4, so 400 rows take seconds, not hours;
+    # the closed form takes every row from one recurrence, not one per row
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return jacobi_table(*args)
+
+    monkeypatch.setattr(cli, "jacobi_table", counted)
+    monkeypatch.setattr(special, "jacobi_table", counted)
     out = tmp_path / "co.csv"
     assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "400", "--out", str(out)]) == 0
+    assert calls == [400]
     _, _, rows = read_csv(out)
     assert len(rows) == 401 and not np.any(rows[142:, 1])
+    for n in (0, 1, 2, 57, 141, 142, 400):
+        assert rows[n, 2] == closed_form_coefficient(0.3, 4, n), n
 
 
 def test_laplace_csv(tmp_path):

@@ -97,11 +97,6 @@ def test_neumann_residual_vanishes_at_origin():
     assert neumann_identity_residual(0.4, 3, 0.0, 20) == 0.0
 
 
-@pytest.mark.parametrize("c,N,x", [(0.0, 3, 1.0), (1.0, 2, 2.0), (0.3, 4, 2.0), (1.0, 4, 0.5)])
-def test_neumann_residual_small(c, N, x):
-    assert neumann_identity_residual(c, N, x, 30) <= 1e-12
-
-
 def test_neumann_rejects_large_x():
     with pytest.raises(ValueError):
         neumann_identity_residual(0.3, 3, 6.0, 20)

@@ -11,7 +11,7 @@ from jacobi_heat.sde import (
     BLOCK_PATHS,
     PathEnsemble,
     SdeConfig,
-    _THREE_POINT,
+    _BYTE_LAW,
     _diffusion_increment,
     _normals,
     density_ks_check,
@@ -141,36 +141,38 @@ def _reference_diffusion_increment(u, z, sqrt2dt):
     return out
 
 
-def test_increment_law_matches_normal_moments_through_order_five():
-    # each table entry is sign * sqrt(3) with probability 1/6; odd powers of
-    # sqrt(3) are irrational, so an odd moment is exact only through its zero sign sum
-    signs = [int(v) for v in np.sign(_THREE_POINT)]
-    assert len(signs) == 6 and signs.count(0) == 4
-    assert all(abs(v) == math.sqrt(3.0) for v in _THREE_POINT if v)
-    for m, normal_moment in enumerate([0, 1, 0, 3, 0], start=1):
-        sign_mean = Fraction(sum(sg**m for sg in signs), 6)
+def test_byte_law_moments_through_order_five():
+    # each table entry is sign * a with probability 1/256, a^2 = 128/43; odd powers
+    # of a are irrational, so an odd moment is exact only through its zero sign sum
+    signs = [int(v) for v in np.sign(_BYTE_LAW)]
+    assert len(signs) == 256 and signs[:43] == [-1] * 43 and signs[43:86] == [1] * 43
+    assert all(abs(v) == math.sqrt(128.0 / 43.0) for v in _BYTE_LAW if v)
+    for m, want in enumerate([0, 1, 0, Fraction(128, 43), 0], start=1):
+        sign_mean = Fraction(sum(sg**m for sg in signs), 256)
         if m % 2:
-            assert sign_mean == 0
+            assert sign_mean == want == 0
         else:
-            assert sign_mean * 3 ** (m // 2) == normal_moment
+            assert sign_mean * Fraction(128, 43) ** (m // 2) == want
 
 
-def test_normals_pin_the_three_point_stream():
-    # the seeded validate reports were verified on exactly this stream
+def test_normals_pin_the_byte_law_stream():
+    # the seeded validate reports were verified on exactly this stream; the odd
+    # size leaves part of the last raw word unread
     out = np.empty((3, 10**4 + 5))
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(7, spawn_key=(0,))))
     twin = np.random.Generator(np.random.SFC64(np.random.SeedSequence(7, spawn_key=(0,))))
     assert _normals(rng, out) is out
-    i = twin.integers(0, 6, size=out.size, dtype=np.uint8).reshape(out.shape)
-    want = np.where(i == 0, -math.sqrt(3.0), np.where(i == 1, math.sqrt(3.0), 0.0))
-    assert np.array_equal(out, want)
-    assert rng.integers(0, 2**63) == twin.integers(0, 2**63)  # one draw call, no more
+    words = twin.bit_generator.random_raw(-(-out.size // 8))
+    raw = np.frombuffer(words.astype("<u8").tobytes(), dtype=np.uint8)[: out.size]
+    assert np.array_equal(out, _BYTE_LAW[raw].reshape(out.shape))
+    assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()  # no more draws
 
 
 def test_normals_frequencies():
     n = 6 * 10**5
     z = _normals(np.random.Generator(np.random.SFC64(11)), np.empty((6, n // 6)))
-    for value, p in [(-math.sqrt(3.0), 1 / 6), (math.sqrt(3.0), 1 / 6), (0.0, 2 / 3)]:
+    a = math.sqrt(128.0 / 43.0)
+    for value, p in [(-a, 43 / 256), (a, 43 / 256), (0.0, 170 / 256)]:
         count = int(np.count_nonzero(z == value))
         assert abs(count - n * p) <= 4.5 * math.sqrt(n * p * (1.0 - p)), value
 
