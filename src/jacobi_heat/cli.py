@@ -109,11 +109,15 @@ def _run_coeffs(args):
     N, n_max = args.N, args.n_max
     (c,) = _parse_c(args.c, 1)
     a = solve_coefficients(c, N, n_max)
-    # closed_form_coefficient row by row, with one recurrence for every degree
+    # closed_form_coefficient row by row, with one recurrence for every degree;
+    # (N+n-1)_n grows with n, so once it overflows every later row divides by inf
     p = jacobi_table(n_max, N - 2.0, 0.0, 2.0 * c - 1.0)
     rows = []
+    scale = 1.0
     for n in range(n_max + 1):
-        cf = p[n] / pochhammer(N + n - 1.0, n)
+        if scale != np.inf:
+            scale = pochhammer(N + n - 1.0, n)
+        cf = p[n] / scale
         rows.append((n, a[n], cf, abs(a[n] - cf)))
     _write_csv(
         args.out,

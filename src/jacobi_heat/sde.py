@@ -6,6 +6,12 @@ and diffusion matrix sigma sigma^T = 2 a with a_ij = u_i (delta_ij - u_j).
 The ensemble is the independent stochastic oracle for the spectral densities
 and the only tool covering three or more projected coordinates.
 
+The noise factor is a closed-form square root of a: with v = sqrt(u) and
+q = 1 - sum(u), (I - alpha v v^T)^2 = I - v v^T iff alpha (1 + sqrt(q)) = 1
+or alpha (1 - sqrt(q)) = 1, so L = diag(v) (I - v v^T / (1 + sqrt(q))) has
+L L^T = a for every k and divides by no pivot that vanishes on the boundary
+(see _diffusion_increment).
+
 The scheme is the simplified weak Euler scheme (Kloeden & Platen, Numerical
 Solution of SDEs, 1992, sections 14.1-14.2): the Gaussian increments of
 Euler-Maruyama are replaced by independent three-point variables, -a and +a
@@ -114,44 +120,32 @@ def _normals(rng, out):
 
 
 def _diffusion_increment(u, z, sqrt2dt, out, work):
-    """Apply the closed-form lower-triangular factor of u(diag - u u^T) to z.
+    """Apply a closed-form square root L of diag(u) - u u^T to z.
 
-    Rows index coordinates, columns index paths.  With q_j = 1 - u_1 - ...
-    - u_j (q_0 = 1), the factor is L_ii = sqrt(u_i q_i / q_{i-1}) and
-    L_ij = -u_i sqrt(u_j / (q_j q_{j-1})) for j < i.  The column factor
-    depends on j only, so the off-diagonal part of row i is -u_i times a
-    running prefix sum; degenerate pivots near the boundary are clamped
-    at 1e-14.  The result goes to out (shape of u); work is a (4, paths)
-    scratch array, so a step allocates nothing.
+    Rows index coordinates, columns index paths.  With v = sqrt(u) and
+    q = 1 - sum(u) = 1 - |v|^2, diag(u) - u u^T = D (I - v v^T) D for
+    D = diag(v), and (I - alpha v v^T)^2 = I - (2 alpha - alpha^2 (1 - q)) v v^T
+    is I - v v^T iff alpha (1 + sqrt(q)) = 1 or alpha (1 - sqrt(q)) = 1.  The
+    first root gives L z = sqrt(u) z - u (sqrt(u) . z) / (1 + sqrt(q)) for
+    every k (sqrt(u (1 - u)) z at k = 1).  Its only division is by
+    1 + sqrt(q) >= 1, q clamped at 0 where rounding puts sum(u) above 1, so
+    unlike a Cholesky factor it divides by no pivot that vanishes on the
+    boundary.  The result goes to out (shape of u); work is a (2, paths)
+    scratch array, and z is overwritten with sqrt(u) z, so a step allocates
+    nothing.
     """
-    k = u.shape[0]
-    q_prev, q_i, prefix, tmp = work
-    # coordinate 0, where q_prev = 1
-    np.subtract(1.0, u[0], out=q_prev)
-    np.maximum(q_prev, 1e-14, out=q_prev)
-    np.multiply(u[0], q_prev, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    np.multiply(tmp, z[0], out=out[0])
-    if k > 1:
-        np.divide(u[0], q_prev, out=prefix)
-        np.sqrt(prefix, out=prefix)
-        prefix *= z[0]
-    for i in range(1, k):
-        np.subtract(q_prev, u[i], out=q_i)
-        np.maximum(q_i, 1e-14, out=q_i)
-        np.multiply(u[i], q_i, out=tmp)
-        tmp /= q_prev
-        np.sqrt(tmp, out=tmp)
-        np.multiply(tmp, z[i], out=out[i])
-        np.multiply(u[i], prefix, out=tmp)
-        out[i] -= tmp
-        if i + 1 < k:
-            np.multiply(q_i, q_prev, out=tmp)
-            np.divide(u[i], tmp, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp *= z[i]
-            prefix += tmp
-        q_prev, q_i = q_i, q_prev
+    dot, denom = work
+    u.sum(axis=0, out=denom)
+    np.subtract(1.0, denom, out=denom)
+    np.maximum(denom, 0.0, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += 1.0
+    np.sqrt(u, out=out)
+    z *= out
+    z.sum(axis=0, out=dot)
+    dot /= denom
+    np.multiply(u, dot, out=out)
+    np.subtract(z, out, out=out)
     out *= sqrt2dt
     return out
 
@@ -165,7 +159,7 @@ def _simulate_block(cfg, start, rng, n, n_steps, dests):
     u = np.tile(start[:, None], (1, n))
     z = np.empty_like(u)
     noise = np.empty_like(u)
-    work = np.empty((4, n))
+    work = np.empty((2, n))
     total = np.empty(n)
     over = np.empty(n, dtype=bool)
     sqrt2dt = math.sqrt(2.0 * cfg.dt)

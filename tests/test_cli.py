@@ -68,22 +68,29 @@ def test_coeffs_csv_small_differences(tmp_path):
 
 def test_coeffs_far_past_the_underflow_cap(tmp_path, monkeypatch):
     # the exact solve stops at n = 141 for N = 4, so 400 rows take seconds, not hours;
-    # the closed form takes every row from one recurrence, not one per row
-    calls = []
+    # the closed form takes every row from one recurrence, not one per row, and
+    # stops multiplying (N+n-1)_n once it overflows, at n = 134
+    calls = {jacobi_table: [], special.pochhammer: []}
 
-    def counted(*args):
-        calls.append(args[0])
-        return jacobi_table(*args)
+    def counted(f):
+        def wrapped(*args):
+            calls[f].append(args)
+            return f(*args)
 
-    monkeypatch.setattr(cli, "jacobi_table", counted)
-    monkeypatch.setattr(special, "jacobi_table", counted)
+        return wrapped
+
+    monkeypatch.setattr(cli, "jacobi_table", counted(jacobi_table))
+    monkeypatch.setattr(special, "jacobi_table", counted(jacobi_table))
+    monkeypatch.setattr(cli, "pochhammer", counted(special.pochhammer))
     out = tmp_path / "co.csv"
     assert main(["coeffs", "--N", "4", "--c", "0.3", "--n-max", "400", "--out", str(out)]) == 0
-    assert calls == [400]
+    assert [args[0] for args in calls[jacobi_table]] == [400]
+    assert [args[1] for args in calls[special.pochhammer]] == list(range(135))
     _, _, rows = read_csv(out)
     assert len(rows) == 401 and not np.any(rows[142:, 1])
-    for n in (0, 1, 2, 57, 141, 142, 400):
-        assert rows[n, 2] == closed_form_coefficient(0.3, 4, n), n
+    # by hex, so a flipped sign of -0.0 fails
+    for n in (0, 1, 2, 57, 133, 134, 141, 142, 400):
+        assert float(rows[n, 2]).hex() == closed_form_coefficient(0.3, 4, n).hex(), n
 
 
 def test_laplace_csv(tmp_path):

@@ -124,21 +124,9 @@ def test_short_last_block_stays_in_the_simplex():
 
 
 def _reference_diffusion_increment(u, z, sqrt2dt):
-    """The allocating loop form of the factor, kept as the bit-exact reference."""
-    k = u.shape[0]
-    out = np.empty_like(u)
-    q_prev = np.ones(u.shape[1])
-    prefix = np.zeros(u.shape[1])
-    for i in range(k):
-        q_i = np.clip(q_prev - u[i], 1e-14, None)
-        out[i] = np.sqrt(u[i] * q_i / q_prev) * z[i]
-        if i:
-            out[i] -= u[i] * prefix
-        if i + 1 < k:
-            prefix += np.sqrt(u[i] / (q_i * q_prev)) * z[i]
-        q_prev = q_i
-    out *= sqrt2dt
-    return out
+    """The allocating one-expression form of the factor, kept as the bit-exact reference."""
+    denom = 1.0 + np.sqrt(np.maximum(1.0 - u.sum(axis=0), 0.0))
+    return sqrt2dt * (np.sqrt(u) * z - u * ((np.sqrt(u) * z).sum(axis=0) / denom))
 
 
 def test_byte_law_moments_through_order_five():
@@ -177,18 +165,22 @@ def test_normals_frequencies():
         assert abs(count - n * p) <= 4.5 * math.sqrt(n * p * (1.0 - p)), value
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_diffusion_increment_factors_the_diffusion_matrix(k):
     # applied to the unit vectors, the increment is sqrt(2 dt) L column by column
     rng = np.random.default_rng(60 + k)
     dt = 0.3
-    for _ in range(20):
-        point = rng.dirichlet(np.ones(k + 1))[:k]
+    interior = [rng.dirichlet(np.ones(k + 1))[:k] for _ in range(20)]
+    zeros = [np.where(np.arange(k) == i, 0.0, p) for i, p in enumerate(interior[:k])]
+    face = [rng.dirichlet(np.ones(k)) for _ in range(10)]  # sum(u) = 1, where q = 0
+    # 1e-13 past the face, inside simulate's slack for a start point, q is clamped at 0
+    # and L L^T = diag(u) - (2 - sum(u)) u u^T, as diag(u) - u u^T is indefinite there
+    for point in interior + zeros + face + [p * (1.0 + 1e-13) for p in face]:
         u = np.tile(point[:, None], (1, k))
-        L = _diffusion_increment(u, np.eye(k), math.sqrt(2.0 * dt), np.empty((k, k)), np.empty((4, k)))
-        want = 2.0 * dt * (np.diag(point) - np.outer(point, point))
-        assert np.max(np.abs(L @ L.T - want)) <= 1e-14
-        assert np.all(np.triu(L, 1) == 0.0)
+        L = _diffusion_increment(u, np.eye(k), math.sqrt(2.0 * dt), np.empty((k, k)), np.empty((2, k)))
+        excess = max(point.sum() - 1.0, 0.0)
+        want = 2.0 * dt * (np.diag(point) - (1.0 - excess) * np.outer(point, point))
+        assert np.all(np.isfinite(L)) and np.max(np.abs(L @ L.T - want)) <= 1e-14, point
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -197,9 +189,9 @@ def test_diffusion_increment_matches_the_allocating_loop(k):
     n = 500
     u = rng.dirichlet(np.ones(k + 1), size=n).T[:k].copy()
     u[:, :5] = 0.0
-    u[:, 5:10] = rng.dirichlet(np.ones(k), size=5).T  # on the face sum(u) = 1: the pivot clamp
+    u[:, 5:10] = rng.dirichlet(np.ones(k), size=5).T  # on the face sum(u) = 1, where q = 0
     z = rng.standard_normal((k, n))
-    got = _diffusion_increment(u, z, 0.05, np.empty((k, n)), np.empty((4, n)))
+    got = _diffusion_increment(u, z.copy(), 0.05, np.empty((k, n)), np.empty((2, n)))
     assert np.array_equal(got, _reference_diffusion_increment(u, z, 0.05))
 
 
