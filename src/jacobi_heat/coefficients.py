@@ -18,7 +18,9 @@ import numpy as np
 
 from .heat_kernel import _require_time_and_dimension, auto_truncation, kernel_series_1d
 from .quadrature import gauss_jacobi_rule
-from .special import _require_integer, _require_unit_interval, jacobi_p, jacobi_table, pochhammer
+from .special import (
+    _require_bounded, _require_integer, _require_unit_interval, jacobi_p, jacobi_table, pochhammer
+)
 
 __all__ = [
     "solve_coefficients",
@@ -118,8 +120,8 @@ def laplace_quadrature(c, lams, t, N):
     N < 2, t not finite and positive, and any lam with |lam| > 10 (or NaN).
     """
     _require_unit_interval("c", c)
-    if not all(abs(lam) <= 10.0 for lam in lams):
-        raise ValueError(f"|lambda| must be <= 10, got {list(lams)}")
+    for lam in lams:
+        _require_bounded("lambda", lam, 10.0)
     tr = auto_truncation(t, N, 1e-13)
     rule = _laplace_rule(tr.n_max, N)
     series, _ = kernel_series_1d(t, c, rule.nodes, N, tr.n_max)

@@ -90,8 +90,10 @@ class SimplexPolynomial:
         return out
 
     def __call__(self, points):
-        """Evaluate at points of shape (k,) or (M, k)."""
+        """Evaluate at points of shape (k,) or (M, k); any other last axis is refused."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[-1] != self.k:
+            raise ValueError(f"need k={self.k} coordinates per point, got {np.shape(points)}")
         vals = np.zeros(pts.shape[0])
         for e, c in self.terms.items():
             mono = np.full(pts.shape[0], c)

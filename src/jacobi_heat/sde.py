@@ -240,10 +240,11 @@ def density_ks_check(ens, grid_bins=5):
     is cut where its certified tail falls below 1e-10.  k = 1: the
     Kolmogorov-Smirnov statistic between the empirical terminal CDF and the
     series' closed-form CDF, which is within 1e-10/(N-1) of the exact one.
-    k = 2: Pearson's chi-square over grid_bins^2 cells (grid_bins >= 2) of
-    the square (u1, u2/(1-u1)), with expected counts from one density call on
-    every cell's 8x8 Gauss-Legendre nodes; cells with expected count below 5
-    make the check refuse.
+    k >= 2: Pearson's chi-square of the (u1, u2) coordinates, whose law is
+    the 2-D density from start[:2] for every k, over grid_bins^2 cells
+    (grid_bins >= 2) of the square (u1, u2/(1-u1)), with expected counts from
+    one density call on every cell's 8x8 Gauss-Legendre nodes; cells with
+    expected count below 5 make the check refuse.
     """
     _require_integer("grid_bins", grid_bins, 2)
     k, N, t = ens.config.k, ens.config.N, ens.config.t_final
@@ -254,28 +255,24 @@ def density_ks_check(ens, grid_bins=5):
         cdf = cdf_1d_values(t, ens.start[0], xs, N, auto_truncation(t, N, 1e-10))
         i = np.arange(1, n + 1)
         return float(np.max(np.maximum(np.abs(i / n - cdf), np.abs((i - 1) / n - cdf))))
-    if k == 2:
-        rule = gauss_jacobi_rule(8, 0.0, 0.0)
-        edges = np.linspace(0.0, 1.0, grid_bins + 1)
-        width = edges[1] - edges[0]
-        y = (edges[:-1, None] + width * rule.nodes).ravel()  # the nodes of every bin, bin-major
-        u1 = np.repeat(y, len(y))
-        cell_pts = np.column_stack([u1, (1.0 - u1) * np.tile(y, len(y))])
-        f = density_2d_values(t, ens.start, cell_pts, N, auto_truncation_2d(t, N, 1e-10))
-        f *= 1.0 - u1  # the Jacobian of u2 = (1-u1) y
-        f = f.reshape(grid_bins, 8, grid_bins, 8)
-        expected = width * width * np.einsum("a,iajb,b->ij", rule.weights, f, rule.weights)
-        expected *= n
-        if np.any(expected < 5.0):
-            raise ValueError(
-                f"insufficient paths: smallest expected cell count is {expected.min():.2f}"
-            )
-        x_emp = pts[:, 0]
-        rem = np.clip(1.0 - x_emp, 1e-300, None)
-        y_emp = np.clip(pts[:, 1] / rem, 0.0, 1.0 - 1e-15)
-        ix = np.clip((x_emp / width).astype(int), 0, grid_bins - 1)
-        iy = np.clip((y_emp / width).astype(int), 0, grid_bins - 1)
-        observed = np.zeros((grid_bins, grid_bins))
-        np.add.at(observed, (ix, iy), 1.0)
-        return float(np.sum((observed - expected) ** 2 / expected))
-    raise ValueError(f"no closed-form density for k = {k}")
+    rule = gauss_jacobi_rule(8, 0.0, 0.0)
+    edges = np.linspace(0.0, 1.0, grid_bins + 1)
+    width = edges[1] - edges[0]
+    y = (edges[:-1, None] + width * rule.nodes).ravel()  # the nodes of every bin, bin-major
+    u1 = np.repeat(y, len(y))
+    cell_pts = np.column_stack([u1, (1.0 - u1) * np.tile(y, len(y))])
+    f = density_2d_values(t, ens.start[:2], cell_pts, N, auto_truncation_2d(t, N, 1e-10))
+    f *= 1.0 - u1  # the Jacobian of u2 = (1-u1) y
+    f = f.reshape(grid_bins, 8, grid_bins, 8)
+    expected = width * width * np.einsum("a,iajb,b->ij", rule.weights, f, rule.weights)
+    expected *= n
+    if np.any(expected < 5.0):
+        raise ValueError(f"insufficient paths: smallest expected cell count {expected.min():.2f}")
+    x_emp = pts[:, 0]
+    rem = np.clip(1.0 - x_emp, 1e-300, None)
+    y_emp = np.clip(pts[:, 1] / rem, 0.0, 1.0 - 1e-15)
+    ix = np.clip((x_emp / width).astype(int), 0, grid_bins - 1)
+    iy = np.clip((y_emp / width).astype(int), 0, grid_bins - 1)
+    observed = np.zeros((grid_bins, grid_bins))
+    np.add.at(observed, (ix, iy), 1.0)
+    return float(np.sum((observed - expected) ** 2 / expected))

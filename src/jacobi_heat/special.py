@@ -31,6 +31,12 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_bounded(name, value, bound):
+    # NaN fails every comparison, so only this form refuses it
+    if not abs(value) <= bound:
+        raise ValueError(f"|{name}| must be <= {bound}, got {value!r}")
+
+
 def _require_unit_interval(name, x):
     a = np.asarray(x, dtype=float)
     # NaN fails every comparison, so only this form refuses it

@@ -36,7 +36,8 @@ from .polynomials import SimplexPolynomial, dirichlet_weight_poly
 from .quadrature import gauss_jacobi_rule, simplex_rule_2
 from .sde import SdeConfig, density_ks_check, simulate
 from .simplex_jacobi import simplex_q_polynomial
-from .special import _require_unit_interval, eigenvalue, jacobi_p, jacobi_table, pochhammer
+from .special import _require_bounded, _require_integer, _require_unit_interval
+from .special import eigenvalue, jacobi_p, jacobi_table, pochhammer
 
 TIERS = {
     "quick": {"paths": 10**4, "dt": 1e-3, "decay_rate_tol": 0.10},
@@ -399,52 +400,44 @@ def check_monte_carlo(tier, seed):
         3.0 * 1.63 / math.sqrt(paths),
     )
 
-    # seed + 1 stays unused so that the two ensembles below keep their streams.
-    #
-    # chi-square against the 2-D spectral density; the quick tier has too few
-    # paths to keep 25 cells above the 5-count floor.  The snapshots at t - 2*delta
-    # and t - delta, delta 5% of the steps but at least 10, feed the generator
-    # check below and leave the terminal points unchanged.
-    N, t, c = 4, 0.4, (0.3, 0.2)
+    # one (N, k) = (4, 3) ensemble on seed + 2 serves three gates, as its (u1, u2) follow
+    # the 2-D law for every k.  Chi-square of (u1, u2) against the 2-D density; the quick
+    # tier has too few paths to keep 25 cells above the 5-count floor.  The snapshots at
+    # t - 2*delta and t - delta, delta 5% of the steps but at least 10, feed the
+    # generator check below and leave the terminal points unchanged.
+    N, t, c = 4, 0.4, (0.3, 0.2, 0.1)
     bins = 5 if tier == "full" else 3
     delta = max(round(0.05 * round(t / dt)), 10) * dt
-    cfg = SdeConfig(N=N, k=2, t_final=t, dt=dt, paths=paths, seed=seed + 2)
-    ens_k2 = simulate(cfg, np.array(c), snapshot_times=(t - 2.0 * delta, t - delta))
-    stat = density_ks_check(ens_k2, grid_bins=bins)
-    params_k2 = {"N": N, "k": 2, "t": t, "c": list(c), "paths": paths, "dt": dt}
+    cfg = SdeConfig(N=N, k=3, t_final=t, dt=dt, paths=paths, seed=seed + 2)
+    ens = simulate(cfg, np.array(c), snapshot_times=(t - 2.0 * delta, t - delta))
+    params_k2 = {"N": N, "k": 2, "t": t, "c": list(c[:2]), "paths": paths, "dt": dt}
     yield _check(
         "mc.chi_square_2d",
         {**params_k2, "bins": bins},
-        stat,
+        density_ks_check(ens, grid_bins=bins),
         2.0 * float(gammaincinv((bins * bins - 1) / 2, 0.99)),  # chi-square 99% quantile
     )
 
-    # exact first and second moments of three projected coordinates started at 1/N
-    N, k = 6, 3
-    cfg = SdeConfig(N=N, k=k, t_final=0.5, dt=dt, paths=paths, seed=seed + 3)
-    ens = simulate(cfg, np.full(k, 1.0 / N))
-    pts = ens.terminal_points
-    m2_exact = uniform_start_second_moment(0.5, N)
+    # exact first and second moments of all three coordinates, relaxing from c
     res = []
-    for i in range(k):
-        m1 = float(np.mean(pts[:, i]))
-        se1 = float(np.std(pts[:, i], ddof=1)) / math.sqrt(paths)
-        res.append(abs(m1 - 1.0 / N) / (3.0 * se1))
-        m2 = float(np.mean(pts[:, i] ** 2))
-        se2 = float(np.std(pts[:, i] ** 2, ddof=1)) / math.sqrt(paths)
-        res.append(abs(m2 - m2_exact) / (3.0 * se2))
+    for i in range(3):
+        x = ens.terminal_points[:, i]
+        m1 = 1.0 / N + (c[i] - 1.0 / N) * math.exp(-N * t)
+        for sample, exact in ((x, m1), (x**2, second_moment(t, N, c[i]))):
+            se = float(np.std(sample, ddof=1)) / math.sqrt(paths)
+            res.append(abs(float(np.mean(sample)) - exact) / (3.0 * se))
     yield _check(
         "mc.dirichlet_moments_k3",
-        {"N": N, "k": k, "t": 0.5, "paths": paths, "dt": dt},
+        {"N": N, "k": 3, "t": t, "c": list(c), "paths": paths, "dt": dt},
         res,
         1.0,
     )
 
-    # d/dt E[g] against E[generator g] on the chi-square ensemble
+    # d/dt E[g] against E[generator g] on the (u1, u2) coordinates of the same ensemble
     polys = {"u1*u2": {(1, 1): 1.0}, "u1^2": {(2, 0): 1.0}, "u2^2+u1/2": {(0, 2): 1.0, (1, 0): 0.5}}
     res = []
     for terms in polys.values():
-        lhs, rhs, band = generator_moment_check(ens_k2, SimplexPolynomial(terms, 2))
+        lhs, rhs, band = generator_moment_check(ens, SimplexPolynomial(terms, 2))
         res.append(abs(lhs - rhs) / band)
     params = {**params_k2, "delta": delta, "g": list(polys)}
     yield _check("mc.generator_moment_k2", params, res, 1.0)
@@ -455,10 +448,11 @@ def neumann_identity_residual(c, N, x, n_max):
 
     Compares sum_n (a_n/n!) Gamma(N+2n) (-1)^n J_{2n+N-1}(x) against
     J_0(sqrt(c) x) (x/2)^{N-1}, with a_n taken in closed form.  Small x only;
-    the terms are bounded by (|x|/2)^{2n+N-1} / ((N+n-1)_n n!).
+    the terms are bounded by (|x|/2)^{2n+N-1} / ((N+n-1)_n n!).  Refuses
+    |x| > 5, x NaN and n_max not an integer >= 0.
     """
-    if abs(x) > 5.0:
-        raise ValueError(f"|x| must be <= 5 for the residual check, got {x}")
+    _require_bounded("x", x, 5.0)
+    _require_integer("n_max", n_max, 0)
     total = math.fsum(
         closed_form_coefficient(c, N, n)
         / math.factorial(n)
@@ -478,8 +472,10 @@ def inversion_term_identity(n, c, N, lam):
     times the Gauss-Jacobi integral of e^{lam*u} P_n^{0,N-2}(1-2u) against
     (1-u)^{N-2} du, for |lam| <= 10.  The (2n+N-1) factor is forced by the
     n = 0 case 1F1(1, N, lam) = (N-1) * int e^{lam*u} (1-u)^{N-2} du and by
-    consistency with the spectral form of the density.
+    consistency with the spectral form of the density.  Refuses |lam| > 10,
+    where the rule is not sized for e^{lam*u}, and lam NaN.
     """
+    _require_bounded("lambda", lam, 10.0)
     lhs = closed_form_coefficient(c, N, n) * lam**n * hyp1f1(n + 1.0, N + 2.0 * n, lam)
     rule = _laplace_rule(n, N)
     pn = jacobi_table(n, 0.0, N - 2.0, 1.0 - 2.0 * rule.nodes)[n]
@@ -492,8 +488,10 @@ def eigen_transform_check(n, t, c, N):
     """Project the density on the n-th Jacobi mode by quadrature.
 
     Returns the integral of P_n^{N-2,0}(2u-1) f_t(c, u) du, which the
-    spectral form predicts to be e^{-n(n+N-1)t} P_n^{N-2,0}(2c-1).
+    spectral form predicts to be e^{-n(n+N-1)t} P_n^{N-2,0}(2c-1).  Refuses
+    n not an integer >= 0.
     """
+    _require_integer("n", n, 0)
     tr = auto_truncation(t, N, 1e-13)
     # the integrand has degree n_max + n, which this rule integrates exactly
     rule = gauss_jacobi_rule(max(64, (tr.n_max + n) // 2 + 1), N - 2.0, 0.0)
@@ -568,14 +566,17 @@ def face_derivative_identity(f):
     return all(abs(c) <= 1e-12 * scale for e, c in rest.terms.items() if any(e))
 
 
-def uniform_start_second_moment(t, N):
-    """Exact E[u_i(t)^2] of the diffusion started at u_i = 1/N.
+def second_moment(t, N, c):
+    """Exact E[u_i(t)^2] of the diffusion started at u_i = c.
 
-    E[u_i] stays 1/N and the generator sends u_i^2 to -2(N+1) u_i^2 + 4 u_i,
-    so E[u_i^2] relaxes from 1/N^2 to the stationary 2/(N(N+1)) at rate 2(N+1).
+    The generator sends u_i^2 to -2(N+1) u_i^2 + 4 u_i and E[u_i] is
+    1/N + (c - 1/N) e^{-Nt}, so m = E[u_i^2] solves m' = -2(N+1) m + 4/N +
+    4(c - 1/N) e^{-Nt}: the stationary s = 2/(N(N+1)), the e^{-Nt} mode's
+    b = 4(c - 1/N)/(N+2), and the e^{-2(N+1)t} mode's c^2 - s - b from m(0) = c^2.
     """
-    stationary = 2.0 / (N * (N + 1))
-    return stationary + (1.0 / N**2 - stationary) * math.exp(-2.0 * (N + 1) * t)
+    s = 2.0 / (N * (N + 1))
+    b = 4.0 * (c - 1.0 / N) / (N + 2)
+    return s + b * math.exp(-N * t) + (c * c - s - b) * math.exp(-2.0 * (N + 1) * t)
 
 
 def generator_moment_check(ens, test_poly):
@@ -583,18 +584,19 @@ def generator_moment_check(ens, test_poly):
 
     The ensemble's two snapshots, at t - 2*delta and t - delta for its horizon
     t, and its terminal points give the time derivative centered at t - delta,
-    where the generator average is taken.  Returns (lhs, rhs, band) where band
-    combines three standard errors of both sides with an allowance for the
-    Euler and stencil biases.
+    where the generator average is taken.  test_poly reads the first
+    test_poly.k coordinates, whose generator is the same for every k of the
+    ensemble.  Returns (lhs, rhs, band) where band combines three standard
+    errors of both sides with an allowance for the Euler and stencil biases.
     """
     if test_poly.total_degree() > 4:
         raise ValueError("test polynomial degree must be <= 4")
-    cfg = ens.config
+    cfg, k = ens.config, test_poly.k
     t0, t1 = sorted(ens.snapshots)
     delta = cfg.t_final - t1
-    g0 = test_poly(ens.snapshots[t0])
-    fd_samples = (test_poly(ens.terminal_points) - g0) / (cfg.t_final - t0)
-    rhs_samples = generalized_jacobi_op(test_poly, cfg.N)(ens.snapshots[t1])
+    g0 = test_poly(ens.snapshots[t0][:, :k])
+    fd_samples = (test_poly(ens.terminal_points[:, :k]) - g0) / (cfg.t_final - t0)
+    rhs_samples = generalized_jacobi_op(test_poly, cfg.N)(ens.snapshots[t1][:, :k])
     lhs = float(np.mean(fd_samples))
     rhs = float(np.mean(rhs_samples))
     se = math.hypot(

@@ -99,20 +99,32 @@ def test_a_nan_residual_fails_its_check(monkeypatch, group, name, patched, stub)
 
 
 def test_monte_carlo_simulates_one_ensemble_per_n_k(monkeypatch):
-    # the KS gate reads the clock ensemble's terminal points instead of its own ensemble
-    runs = []
+    # the KS gate reads the clock ensemble's terminal points, and the chi-square, moment
+    # and generator gates read the (u1, u2) or all coordinates of one k = 3 ensemble
+    runs, read = [], []
     simulate = validate.simulate
 
     def counted(cfg, start, *args, **kwargs):
-        runs.append((cfg, start))
-        return simulate(cfg, start, *args, **kwargs)
+        runs.append(simulate(cfg, start, *args, **kwargs))
+        return runs[-1]
+
+    def reader(gate):
+        return lambda ens, *args, **kwargs: read.append(ens) or gate(ens, *args, **kwargs)
 
     monkeypatch.setattr(validate, "simulate", counted)
-    checks = {c["check_name"]: c for c in validate.check_monte_carlo("quick", 2024)}
-    assert sorted((cfg.N, cfg.k) for cfg, _ in runs) == [(3, 1), (4, 2), (6, 3)]
-    ((clock, start),) = [(cfg, start) for cfg, start in runs if cfg.k == 1]
-    ks = checks["mc.ks_1d"]["params"]
-    assert (ks["N"], ks["k"], ks["c"], ks["t"]) == (clock.N, clock.k, start[0], clock.t_final)
+    for name in ("density_ks_check", "generator_moment_check"):
+        monkeypatch.setattr(validate, name, reader(getattr(validate, name)))
+    checks = {c["check_name"]: c["params"] for c in validate.check_monte_carlo("quick", 2024)}
+    assert sorted((e.config.N, e.config.k) for e in runs) == [(3, 1), (4, 3)]
+    clock, joint = sorted(runs, key=lambda e: e.config.k)
+    # KS, then chi-square, then the generator check once per polynomial
+    assert [id(e) for e in read] == [id(clock)] + [id(joint)] * 4
+    gates = {"mc.ks_1d": (clock, 1), "mc.chi_square_2d": (joint, 2),
+             "mc.dirichlet_moments_k3": (joint, 3), "mc.generator_moment_k2": (joint, 2)}
+    for name, (ens, k) in gates.items():
+        p = checks[name]
+        c = list(ens.start[:k]) if k > 1 else ens.start[0]
+        assert (p["N"], p["k"], p["c"], p["t"]) == (ens.config.N, k, c, ens.config.t_final), name
 
 
 @pytest.fixture(scope="module")

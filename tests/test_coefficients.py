@@ -98,8 +98,10 @@ def test_neumann_residual_vanishes_at_origin():
 
 
 def test_neumann_rejects_large_x():
-    with pytest.raises(ValueError):
-        neumann_identity_residual(0.3, 3, 6.0, 20)
+    # x = NaN returned NaN, and n_max = -1 returned |rhs|
+    for x, n_max in [(6.0, 20), (math.nan, 20), (0.5, -1), (0.5, 2.5)]:
+        with pytest.raises(ValueError):
+            neumann_identity_residual(0.3, 3, x, n_max)
 
 
 def test_laplace_at_lambda_zero():
@@ -187,6 +189,10 @@ def test_inversion_identity_degree_zero():
     lhs, rhs = inversion_term_identity(0, c, N, lam)
     assert lhs == pytest.approx(hyp1f1(1.0, float(N), lam), rel=1e-13)
     assert abs(lhs - rhs) <= 1e-10
+    # NaN returned (nan, nan), and 50 ran a rule sized for |lambda| <= 10
+    for lam in (math.nan, 50.0, -10.5):
+        with pytest.raises(ValueError, match="lambda"):
+            inversion_term_identity(0, c, N, lam)
 
 
 def test_inversion_identity_kills_positive_modes_at_lambda_zero():

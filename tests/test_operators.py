@@ -12,7 +12,7 @@ from jacobi_heat.operators import generalized_jacobi_op, operator_matrix, script
 from jacobi_heat.polynomials import SimplexPolynomial, dirichlet_weight_poly
 from jacobi_heat.simplex_jacobi import _jacobi_sum
 from jacobi_heat.special import eigenvalue
-from jacobi_heat.validate import face_derivative_identity, heat_residual_1d, uniform_start_second_moment
+from jacobi_heat.validate import face_derivative_identity, heat_residual_1d, second_moment
 
 
 def univariate(coeffs):
@@ -25,13 +25,14 @@ def test_jacobi_op_trivial_inputs():
     # g = u maps to 1 - Nu, i.e. -N (u - 1/N)
     out = generalized_jacobi_op(univariate([0.0, 1.0]), 5)
     assert out.terms == {(0,): 1.0, (1,): -5.0}
-    # so from u = 1/N the mean stays 1/N; the moments of 1, u, u^2 follow expm(t M)
-    for N in (3, 6):
+    # so the mean relaxes to 1/N at rate N; the moments of 1, u, u^2 follow expm(t M)
+    for N in (3, 4, 6):
         mat, _ = operator_matrix(1, N, 2)
         for t in (0.05, 0.5, 2.0):
-            m = np.array([1.0, 1.0 / N, 1.0 / N**2]) @ expm(t * mat)
-            assert m[1] == pytest.approx(1.0 / N, rel=1e-14)
-            assert m[2] == pytest.approx(uniform_start_second_moment(t, N), rel=1e-13)
+            for c in (0.0, 0.3, 1.0 / N, 1.0):
+                m = np.array([1.0, c, c * c]) @ expm(t * mat)
+                assert m[1] == pytest.approx(1.0 / N + (c - 1.0 / N) * math.exp(-N * t), rel=1e-14)
+                assert m[2] == pytest.approx(second_moment(t, N, c), rel=1e-13)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])

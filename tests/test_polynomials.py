@@ -56,6 +56,11 @@ def test_simplex_polynomial_validation():
     for k in (2.7, 2.0, 0):
         with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
             SimplexPolynomial({}, k)
+    # (M, 3) points were read by their first two columns, a constant took any width,
+    # and (M, 1) points raised IndexError
+    for poly, width in [(two_var, 3), (two_var, 1), (SimplexPolynomial.constant(2.0, 2), 4)]:
+        with pytest.raises(ValueError, match="need k=2 coordinates"):
+            poly(np.full((5, width), 0.1))
 
 
 @pytest.mark.parametrize("n,a,b", [(0, 1.0, 0.0), (3, 2.0, 0.0), (6, 0.0, 3.0), (9, 4.0, 0.0)])

@@ -107,8 +107,8 @@ def _block(seed, b):
 
 def test_blocks_draw_from_distinct_keys():
     # two blocks sharing a key would be bit-identical; check_monte_carlo draws
-    # its ensembles from seeds seed..seed+3, and 2**32 + 5 differs from 5
-    # only above the low 32-bit word
+    # its ensembles from seeds seed and seed + 2, sweeps run adjacent seeds,
+    # and 2**32 + 5 differs from 5 only above the low 32-bit word
     for first, second in [((59, 0), (59, 1)), ((2024, 1), (2025, 0)), ((5, 1), (2**32 + 5, 0))]:
         assert not np.array_equal(_block(*first), _block(*second)), (first, second)
 
@@ -244,9 +244,10 @@ def test_ks_statistic_memory_is_linear_in_the_paths():
 
 
 def test_chi_square_matches_per_cell_integration():
-    # the reference integrates the density cell by cell, one call per cell
+    # the reference integrates the density cell by cell, one call per cell, over the
+    # (u1, u2) coordinates of a k = 3 ensemble, whose law is the 2-D density from (c1, c2)
     N, t, c, bins = 4, 0.4, (0.3, 0.2), 3
-    ens = simulate(SdeConfig(N=N, k=2, t_final=t, dt=1e-3, paths=2000, seed=11), np.array(c))
+    ens = simulate(SdeConfig(N=N, k=3, t_final=t, dt=1e-3, paths=2000, seed=11), np.array([*c, 0.1]))
     tr = auto_truncation_2d(t, N, 1e-10)
     nodes, weights = np.polynomial.legendre.leggauss(8)
     nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
@@ -266,6 +267,10 @@ def test_chi_square_matches_per_cell_integration():
     np.add.at(observed, (ix, iy), 1.0)
     want = float(np.sum((observed - expected) ** 2 / expected))
     assert density_ks_check(ens, grid_bins=bins) == pytest.approx(want, rel=1e-12)
+    # bit for bit the statistic of the (u1, u2) projection taken as a k = 2 ensemble
+    cfg = SdeConfig(N=N, k=2, t_final=t, dt=1e-3, paths=2000, seed=11)
+    pair = PathEnsemble(terminal_points=pts[:, :2].copy(), config=cfg, start=np.array(c))
+    assert density_ks_check(pair, grid_bins=bins) == density_ks_check(ens, grid_bins=bins)
 
 
 def test_chi_square_refuses_sparse_cells():
@@ -277,10 +282,6 @@ def test_chi_square_refuses_sparse_cells():
     for bins in (0, 1, -1, 2.0):
         with pytest.raises(ValueError, match="grid_bins must be >= 2"):
             density_ks_check(ens, grid_bins=bins)
-    cfg = SdeConfig(N=6, k=3, t_final=1.0, dt=1e-2, paths=100, seed=0)
-    ens = PathEnsemble(terminal_points=np.zeros((100, 3)), config=cfg, start=np.full(3, 0.1))
-    with pytest.raises(ValueError, match="no closed-form density"):
-        density_ks_check(ens)
 
 
 def _generator_ensemble(cfg, start):
